@@ -13,6 +13,7 @@ import (
 	"exbox/internal/excr"
 	"exbox/internal/flows"
 	"exbox/internal/obs"
+	"exbox/internal/obs/trace"
 )
 
 // burstGateway builds a deterministic gateway for the burst tests: the
@@ -22,14 +23,20 @@ import (
 // tests drive processBurst directly.
 func burstGateway(t testing.TB, shards int) *gateway {
 	t.Helper()
+	return tracedBurstGateway(t, shards, nil)
+}
+
+// tracedBurstGateway is burstGateway with a flow-lifecycle tracer.
+func tracedBurstGateway(t testing.TB, shards int, tracer *trace.Tracer) *gateway {
+	t.Helper()
 	reg := obs.NewRegistry()
-	gw, err := newGateway("127.0.0.1:0", excr.DefaultSpace, shards, gatewayOptions{
-		warmStart: true, workers: 1, burst: 64, ringSize: 1024,
+	gw, err := newGateway("127.0.0.1:0", excr.DefaultSpace, gatewayOptions{
+		warmStart: true, shards: shards, workers: 1, burst: 64, ringSize: 1024,
 		// Inline fits: with the background retrainer, the model version
 		// a decision sees would depend on retrain timing, and two
 		// gateway instances would not be bit-comparable.
 		syncRetrain: true,
-	}, reg, nil)
+	}, reg, tracer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,42 +161,104 @@ func TestBurstSizeInvariance(t *testing.T) {
 	}
 }
 
+// TestSilencePathMatchesHeadFill pins the gateway's single decide
+// path: a 3-packet flow that goes quiet is classified by the sweep,
+// decided through AdmitBurst and applied by applyDecision — so, apart
+// from being counted as late-classified, it must leave exactly the
+// audit record, verdict counters, flow state and promoted trace that
+// the same three packets leave when they fill the head and
+// processBurst decides them. The cell is pre-loaded past capacity so
+// the verdict is a rejection, which exercises trace promotion.
+func TestSilencePathMatchesHeadFill(t *testing.T) {
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(os.Stderr)
+
+	// decide feeds the flow's three packets to a fresh gateway whose
+	// flow table keeps headCap packets per flow.
+	decide := func(headCap int) *gateway {
+		// Head sampling at 1 in 2^20 leaves the flow unsampled: the
+		// only way it reaches the trace ring is promotion.
+		gw := tracedBurstGateway(t, 1, trace.New(8, 1<<20))
+		gw.table = flows.NewShardedTable(1, headCap, 30, excr.DefaultSpace)
+		// 3 web + 6 streaming flows: well outside the learned region,
+		// yet inside the loads the bootstrap trained on (an RBF boundary
+		// says nothing reliable far beyond them).
+		for i := 0; i < 9; i++ {
+			class := excr.Streaming
+			if i < 3 {
+				class = excr.Web
+			}
+			gw.table.TrackAdmitted(&flows.Flow{Classified: true, Decided: true, Admitted: true, Class: class})
+		}
+		gw.processBurst(newWorkerState(64), burstPackets(gw, 1, 3))
+		return gw
+	}
+	head := decide(3) // the third packet fills the head
+	quiet := decide(10)
+	if n := quiet.admitted.Value() + quiet.rejected.Value(); n != 0 {
+		t.Fatalf("flow with an unfilled head was decided %d times before the sweep", n)
+	}
+	// Past the silence threshold, short of the idle timeout.
+	quiet.sweep(classifySilence+1, new(workerState))
+
+	if got := quiet.lateClass.Value(); got != 1 {
+		t.Fatalf("exbox_gw_late_classified_total = %d, want 1", got)
+	}
+	if got := head.lateClass.Value(); got != 0 {
+		t.Fatalf("head-filled flow counted as late-classified (%d)", got)
+	}
+	if head.rejected.Value() != 1 || head.admitted.Value() != 0 {
+		t.Fatalf("head-fill verdicts: %d admitted, %d rejected; the overloaded cell should reject",
+			head.admitted.Value(), head.rejected.Value())
+	}
+	for _, name := range []string{
+		"exbox_gw_admitted_flows_total", "exbox_gw_rejected_flows_total",
+		"exbox_cell_ap0_admit_total", "exbox_cell_ap0_reject_total",
+		"exbox_cell_ap0_clf_admit_total", "exbox_cell_ap0_clf_reject_total",
+		"exbox_bad_features_total",
+	} {
+		if h, q := head.reg.Counter(name).Value(), quiet.reg.Counter(name).Value(); h != q {
+			t.Errorf("%s: head-fill %d, silence %d", name, h, q)
+		}
+	}
+
+	rh, rq := head.reg.Ring().Snapshot(), quiet.reg.Ring().Snapshot()
+	if len(rh) != 1 || len(rq) != 1 {
+		t.Fatalf("audit rings hold %d and %d records, want 1 each", len(rh), len(rq))
+	}
+	rh[0].UnixNanos, rq[0].UnixNanos = 0, 0
+	if rh[0] != rq[0] {
+		t.Fatalf("audit record diverged:\nhead-fill %+v\nsilence   %+v", rh[0], rq[0])
+	}
+	if sh, sq := flowStateString(head), flowStateString(quiet); sh != sq {
+		t.Fatalf("flow state diverged:\nhead-fill %ssilence   %s", sh, sq)
+	}
+
+	for name, gw := range map[string]*gateway{"head-fill": head, "silence": quiet} {
+		if got := gw.tracer.Promoted(); got != 1 {
+			t.Fatalf("%s: %d promoted traces, want 1", name, got)
+		}
+	}
+	vh, vq := head.tracer.Snapshot()[0], quiet.tracer.Snapshot()[0]
+	if vh.Reason != "rejected" || vh.Reason != vq.Reason || vh.Verdict != vq.Verdict || vh.Class != vq.Class || len(vh.Spans) != len(vq.Spans) {
+		t.Fatalf("promoted traces diverged:\nhead-fill %+v\nsilence   %+v", vh, vq)
+	}
+	for i := range vh.Spans {
+		a, b := vh.Spans[i], vq.Spans[i]
+		a.UnixNanos, b.UnixNanos = 0, 0
+		if a != b {
+			t.Fatalf("promoted trace span %d diverged:\nhead-fill %+v\nsilence   %+v", i, a, b)
+		}
+	}
+}
+
 // datagram is one raw ingest event as the benchmarks' producers see
-// it: the client address and the packet metadata, nothing derived. The
-// per-packet baseline and the burst pipeline both start from this —
-// the work each path does to get from an address to an accounted flow
-// is exactly what the benchmark compares.
+// it: the client address and the packet metadata, nothing derived —
+// the work the pipeline does to get from an address to an accounted
+// flow is part of what the benchmark measures.
 type datagram struct {
 	src  *net.UDPAddr
 	meta flows.PacketMeta
-}
-
-// perPacketHandle replicates the committed pre-burst datapath (the old
-// gateway.handle, see git history): the flow key is built from the
-// source address on every packet — one IP-string allocation each —
-// then one locked table visit, classification and a single-arrival
-// admission inside the visit, forward verdict settled synchronously.
-func perPacketHandle(g *gateway, src *net.UDPAddr, meta flows.PacketMeta, ws *workerState) {
-	key := flows.Key{
-		Src: src.IP.String(), Dst: "sink",
-		SrcPort: uint16(src.Port), DstPort: 9, Proto: flows.UDP,
-	}
-	var fwd bool
-	g.table.Do(key, func(t *flows.Table) {
-		f := t.Observe(key, meta)
-		if f.Packets == 1 {
-			f.SNR = snrFor(src)
-		}
-		if f.ReadyToClassify(t.HeadCap) {
-			g.classifyAndDecide(f, ws.burst.Clf())
-		}
-		fwd = !(f.Decided && !f.Admitted)
-	})
-	if fwd {
-		g.forwarded.Inc()
-	} else {
-		g.dropped.Inc()
-	}
 }
 
 // ingestWorkload returns a steady-state round of UDP-shaped traffic:
@@ -228,46 +297,12 @@ func ingestWorkload(tb testing.TB, gw *gateway, nFlows, trainLen int, warm func(
 	return round
 }
 
-// BenchmarkIngestPerPacket is the per-packet baseline: each datagram
-// is handed off once (the channel stands in for the shared-socket
-// serialization of the old design, charitably — a real recvfrom costs
-// far more) and handled by the committed pre-burst datapath, key
-// construction, locked table visit and single-arrival admission
-// included.
-func BenchmarkIngestPerPacket(b *testing.B) {
-	log.SetOutput(io.Discard)
-	defer log.SetOutput(os.Stderr)
-	gw := burstGateway(b, 32)
-	ws := newWorkerState(64)
-	round := ingestWorkload(b, gw, 64, 16, func(warmup []datagram) {
-		for _, d := range warmup {
-			perPacketHandle(gw, d.src, d.meta, ws)
-		}
-	})
-	ch := make(chan datagram, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	go func() {
-		j := 0
-		for i := 0; i < b.N; i++ {
-			ch <- round[j]
-			if j++; j == len(round) {
-				j = 0
-			}
-		}
-		close(ch)
-	}()
-	for d := range ch {
-		perPacketHandle(gw, d.src, d.meta, ws)
-	}
-}
-
-// BenchmarkIngestBurst is the burst-batched datapath on the identical
-// workload: the producer interns each datagram's client and publishes
-// into the worker's MPSC ring with the production wake protocol
-// (exactly what readLoop does after the socket read), the consumer
-// drains bursts and runs processBurst. The acceptance bar is >= 3x the
-// per-packet baseline's ops/sec.
+// BenchmarkIngestBurst is the burst-batched datapath: the producer
+// interns each datagram's client and publishes into the worker's MPSC
+// ring with the production wake protocol (exactly what readLoop does
+// after the socket read), the consumer drains bursts and runs
+// processBurst. The pre-burst per-packet baseline it replaced (3.4×
+// slower on this workload) is frozen in BENCH_pr9.json.
 func BenchmarkIngestBurst(b *testing.B) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(os.Stderr)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -164,6 +165,113 @@ func TestKillAndReplay(t *testing.T) {
 		if !seen[ar.Seq] {
 			t.Fatalf("exlog output missing audit seq %d", ar.Seq)
 		}
+	}
+}
+
+// TestSigtermGracefulShutdown is the signal-handling acceptance test:
+// SIGTERM must end the real daemon the way -duration expiry does —
+// exit status 0 with the deferred shutdown run to completion, i.e. the
+// snapshot on disk and the flight journal flushed so that it reads
+// cleanly to its end (no torn tail, unlike the SIGKILL case above),
+// snapshot events included.
+func TestSigtermGracefulShutdown(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and signals a real binary; skipped in -short")
+	}
+	dir := t.TempDir()
+	flightDir, snapDir := filepath.Join(dir, "flight"), filepath.Join(dir, "snap")
+	exboxd := filepath.Join(dir, "exboxd")
+	exlog := filepath.Join(dir, "exlog")
+	for bin, pkg := range map[string]string{exboxd: "exbox/cmd/exboxd", exlog: "exbox/cmd/exlog"} {
+		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
+		}
+	}
+
+	cmd := exec.Command(exboxd,
+		"-flightdir", flightDir,
+		"-snapshotdir", snapDir,
+		"-http", "127.0.0.1:0",
+		"-duration", "2m", // far beyond the test's horizon: only the signal ends it
+	)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = cmd.Process.Kill()
+		_, _ = cmd.Process.Wait()
+	}()
+
+	addrCh := make(chan string, 1)
+	logCh := make(chan string, 1) // the daemon's whole stderr, once it has closed it
+	go func() {
+		re := regexp.MustCompile(`telemetry on http://([^/]+)/metrics`)
+		var all strings.Builder
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			all.WriteString(sc.Text() + "\n")
+			if m := re.FindStringSubmatch(sc.Text()); m != nil {
+				select {
+				case addrCh <- m[1]:
+				default:
+				}
+			}
+		}
+		logCh <- all.String()
+	}()
+	var addr string
+	select {
+	case addr = <-addrCh:
+	case <-time.After(15 * time.Second):
+		t.Fatal("exboxd never announced its telemetry address")
+	}
+	// Audited admissions mean the demo generators are running, which
+	// main starts only after the signal handler is installed.
+	deadline := time.Now().Add(30 * time.Second)
+	for len(scrapeAudit(t, addr)) < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("no audited admissions before deadline")
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	var logs string
+	select {
+	case logs = <-logCh:
+	case <-time.After(20 * time.Second):
+		t.Fatal("exboxd still running 20s after SIGTERM")
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("exboxd exit after SIGTERM: %v\n%s", err, logs)
+	}
+	if !strings.Contains(logs, "received terminated, shutting down") {
+		t.Fatalf("shutdown log line missing:\n%s", logs)
+	}
+	if _, err := os.Stat(filepath.Join(snapDir, "ap0.snap")); err != nil {
+		t.Fatalf("no snapshot after graceful shutdown: %v", err)
+	}
+
+	recs, err := flightrec.ReadDir(flightDir)
+	if err != nil {
+		t.Fatalf("journal does not read to its end after a graceful stop: %v", err)
+	}
+	kinds := make(map[flightrec.Kind]int)
+	for _, rec := range recs {
+		kinds[rec.Kind]++
+	}
+	if kinds[flightrec.KindAdmission] < 3 || kinds[flightrec.KindSnapshot] < 1 {
+		t.Fatalf("journal lacks the admissions or the snapshot event: %v", kinds)
+	}
+	out, err := exec.Command(exlog, "-dir", flightDir, "-kind", "snapshot").Output()
+	if err != nil || len(out) == 0 {
+		t.Fatalf("exlog over the flushed journal: %v, %d bytes", err, len(out))
 	}
 }
 

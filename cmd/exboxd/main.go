@@ -86,10 +86,12 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"exbox/internal/classifier"
@@ -110,33 +112,34 @@ import (
 )
 
 func main() {
+	var opts gatewayOptions
 	listen := flag.String("listen", "127.0.0.1:0", "gateway UDP listen address")
 	duration := flag.Duration("duration", 10*time.Second, "how long to run")
 	demo := flag.Bool("demo", true, "spawn built-in demo traffic generators")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "packet-handling workers")
-	shards := flag.Int("shards", 32, "flow-table shards")
-	burst := flag.Int("burst", 64, "max packets a worker drains and processes per burst")
-	ringSize := flag.Int("ringsize", 1024, "per-worker ingest ring capacity (rounded up to a power of two)")
+	flag.IntVar(&opts.workers, "workers", runtime.GOMAXPROCS(0), "packet-handling workers")
+	flag.IntVar(&opts.shards, "shards", 32, "flow-table shards")
+	flag.IntVar(&opts.burst, "burst", 64, "max packets a worker drains and processes per burst")
+	flag.IntVar(&opts.ringSize, "ringsize", 1024, "per-worker ingest ring capacity (rounded up to a power of two)")
 	mixed := flag.Bool("mixedsnr", false, "use the 3-class x 2-SNR-level space")
 	httpAddr := flag.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-	warmstart := flag.Bool("warmstart", true, "seed each SVM refit from the previous fit's solver state")
-	traceSample := flag.Int("tracesample", 16, "head-sample 1 in N flows for lifecycle tracing (1 = every flow, 0 = off)")
-	traceBuf := flag.Int("tracebuf", 256, "how many flow traces the /debug/traces ring keeps")
-	rff := flag.Bool("rff", false, "score admissions through the random-Fourier-feature tier (oracle-gated fallback to exact)")
-	rffDim := flag.Int("rffdim", 256, "RFF dictionary size (cos/sin features) when -rff is on")
-	rffAgreement := flag.Float64("rffagreement", 0.9, "demote the RFF tier when its agreement EWMA with exact scoring drops below this")
-	snapshotDir := flag.String("snapshotdir", "", "persist per-cell model snapshots to this directory and warm-boot from it on start")
+	flag.BoolVar(&opts.warmStart, "warmstart", true, "seed each SVM refit from the previous fit's solver state")
+	flag.IntVar(&opts.traceSample, "tracesample", 16, "head-sample 1 in N flows for lifecycle tracing (1 = every flow, 0 = off)")
+	flag.IntVar(&opts.traceBuf, "tracebuf", 256, "how many flow traces the /debug/traces ring keeps")
+	flag.BoolVar(&opts.rff, "rff", false, "score admissions through the random-Fourier-feature tier (oracle-gated fallback to exact)")
+	flag.IntVar(&opts.rffDim, "rffdim", 256, "RFF dictionary size (cos/sin features) when -rff is on")
+	flag.Float64Var(&opts.rffAgreement, "rffagreement", 0.9, "demote the RFF tier when its agreement EWMA with exact scoring drops below this")
+	flag.StringVar(&opts.snapshotDir, "snapshotdir", "", "persist per-cell model snapshots to this directory and warm-boot from it on start")
 	flightDir := flag.String("flightdir", "", "journal flight-recorder events (admissions, health, retrains, snapshots, SLO breaches) to segment files in this directory")
-	tsRes := flag.Duration("tsres", time.Second, "timeline sample resolution behind /debug/timeline")
-	tsRetain := flag.Duration("tsretain", 15*time.Minute, "timeline retention window")
-	sloWindow := flag.Duration("slowindow", 15*time.Minute, "QoE SLO slow burn-rate window (the fast window is 1/15th of it)")
-	sloObj := flag.Float64("sloobj", 0.99, "QoE SLO objective: target good fraction of QoE ticks")
-	latSample := flag.Int("latsample", 16, "sample 1 in N admissions into the latency histogram (rounded up to a power of two)")
+	flag.DurationVar(&opts.tsRes, "tsres", time.Second, "timeline sample resolution behind /debug/timeline")
+	flag.DurationVar(&opts.tsRetain, "tsretain", 15*time.Minute, "timeline retention window")
+	flag.DurationVar(&opts.sloWindow, "slowindow", 15*time.Minute, "QoE SLO slow burn-rate window (the fast window is 1/15th of it)")
+	flag.Float64Var(&opts.sloObjective, "sloobj", 0.99, "QoE SLO objective: target good fraction of QoE ticks")
+	flag.IntVar(&opts.latSample, "latsample", 16, "sample 1 in N admissions into the latency histogram (rounded up to a power of two)")
 	flag.Parse()
 
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
 
-	if err := validateFlags(*workers, *shards, *traceSample, *traceBuf, *rffDim, *burst, *ringSize, *latSample, *rffAgreement, *sloObj, *tsRes, *tsRetain, *sloWindow); err != nil {
+	if err := opts.validate(); err != nil {
 		log.Fatalf("exboxd: %v", err)
 	}
 
@@ -149,20 +152,19 @@ func main() {
 	reg.Info("exbox_build_info", map[string]string{"revision": revision, "goversion": goVersion})
 	log.Printf("exboxd build: revision %s, %s", revision, goVersion)
 	var tracer *trace.Tracer
-	if *traceSample > 0 {
-		tracer = trace.New(*traceBuf, *traceSample)
+	if opts.traceSample > 0 {
+		tracer = trace.New(opts.traceBuf, opts.traceSample)
 	}
 
 	// The flight recorder starts before the gateway and its stop is
 	// deferred before gw.close — LIFO defers then guarantee the writer
 	// outlives the shutdown snapshot sweep, so the final KindSnapshot
 	// events reach the journal before the last fsync.
-	var flight *flightrec.Recorder
 	if *flightDir != "" {
-		flight = flightrec.NewRecorder(0)
+		opts.flight = flightrec.NewRecorder(0)
 		frDone := make(chan struct{})
 		frErr := make(chan error, 1)
-		go func() { frErr <- flight.RunWriter(flightrec.WriterConfig{Dir: *flightDir}, frDone) }()
+		go func() { frErr <- opts.flight.RunWriter(flightrec.WriterConfig{Dir: *flightDir}, frDone) }()
 		defer func() {
 			close(frDone)
 			if err := <-frErr; err != nil {
@@ -172,20 +174,7 @@ func main() {
 		log.Printf("flight recorder journaling to %s", *flightDir)
 	}
 
-	gw, err := newGateway(*listen, space, *shards, gatewayOptions{
-		warmStart:    *warmstart,
-		rff:          *rff,
-		rffDim:       *rffDim,
-		rffAgreement: *rffAgreement,
-		snapshotDir:  *snapshotDir,
-		workers:      *workers,
-		burst:        *burst,
-		ringSize:     *ringSize,
-		latSample:    *latSample,
-		sloObjective: *sloObj,
-		sloWindow:    *sloWindow,
-		flight:       flight,
-	}, reg, tracer)
+	gw, err := newGateway(*listen, space, opts, reg, tracer)
 	if err != nil {
 		log.Fatalf("exboxd: %v", err)
 	}
@@ -195,9 +184,9 @@ func main() {
 	// a fixed cadence into fixed-memory rings, served as JSON and as the
 	// compact binary dump. It samples whether or not -http is set, so a
 	// post-mortem /timeline.bin pull always has history behind it.
-	timeline := tsdb.New(reg, tsdb.Config{Resolution: *tsRes, Retention: *tsRetain})
+	timeline := tsdb.New(reg, tsdb.Config{Resolution: opts.tsRes, Retention: opts.tsRetain})
 	log.Printf("gateway listening on %s, sink on %s (%d workers, %d shards, burst %d, ring %d, space %dx%d)",
-		gw.conn.LocalAddr(), gw.sink.LocalAddr(), *workers, *shards, *burst, gw.rings[0].Cap(), space.Classes, space.Levels)
+		gw.conn.LocalAddr(), gw.sink.LocalAddr(), opts.workers, opts.shards, opts.burst, gw.rings[0].Cap(), space.Classes, space.Levels)
 
 	if *httpAddr != "" {
 		ln, err := net.Listen("tcp", *httpAddr)
@@ -243,6 +232,13 @@ func main() {
 		timeline.Run(done)
 	}()
 
+	// The run ends when it has run its course (-duration, or the demo
+	// generators finishing) or on SIGINT/SIGTERM; either way done closes,
+	// the loops drain, and the deferred shutdown — HTTP drain, final
+	// snapshot save, journal flush — runs.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	finished := make(chan struct{})
 	if *demo {
 		var wg sync.WaitGroup
 		rng := mathx.NewRand(time.Now().UnixNano())
@@ -253,14 +249,22 @@ func main() {
 			wg.Add(1)
 			go func(i int, class excr.AppClass, seed int64) {
 				defer wg.Done()
-				if err := sendTrace(gw.conn.LocalAddr().String(), class, *duration, seed); err != nil {
+				if err := sendTrace(gw.conn.LocalAddr().String(), class, *duration, seed, done); err != nil {
 					log.Printf("generator %d (%v): %v", i, class, err)
 				}
 			}(i, class, rng.Int63())
 		}
-		wg.Wait()
+		go func() {
+			wg.Wait()
+			close(finished)
+		}()
 	} else {
-		time.Sleep(*duration)
+		time.AfterFunc(*duration, func() { close(finished) })
+	}
+	select {
+	case <-finished:
+	case sig := <-sigc:
+		log.Printf("received %v, shutting down", sig)
 	}
 	close(done)
 	loops.Wait()
@@ -433,21 +437,30 @@ func (in *interner) get(src *net.UDPAddr) *clientEntry {
 
 const cellID = exboxcore.CellID("ap0")
 
-// gatewayOptions bundles the tunables newGateway threads into the
-// classifier and the ingest datapath: warm-started refits, the
-// budget-constrained RFF scoring tier with its demotion threshold,
-// and the ring/burst geometry (zero values pick the defaults, so
-// tests can leave them unset).
+// gatewayOptions bundles the daemon's tunables — main parses the flags
+// straight into it — that newGateway threads into the classifier, the
+// ingest datapath and the telemetry layers: warm-started refits, the
+// budget-constrained RFF scoring tier with its demotion threshold, the
+// ring/burst geometry, tracing and timeline sizing. In newGateway zero
+// values pick the defaults, so tests can leave fields unset; validate
+// judges the values the flags produced.
 type gatewayOptions struct {
 	warmStart    bool
 	rff          bool
 	rffDim       int
 	rffAgreement float64
 	snapshotDir  string
+	shards       int // flow-table shards; <= 0 defaults to 32
 	workers      int // ring count; <= 0 defaults to 1
 	burst        int // max packets per drained burst; <= 0 defaults to 64
 	ringSize     int // per-worker ring capacity; <= 0 defaults to 1024
 	latSample    int // sample 1 in N admit latencies; <= 0 keeps the default
+	// Flow-lifecycle tracing (head-sample 1 in traceSample flows into a
+	// ring of traceBuf traces; 0 = off) and the timeline store's
+	// resolution and retention. main builds the tracer and the store
+	// from these; newGateway takes the tracer ready-made.
+	traceSample, traceBuf int
+	tsRes, tsRetain       time.Duration
 	// QoE SLO burn-rate accounting: zero values pick the SLOConfig
 	// defaults (99% objective over a 15-minute slow window).
 	sloObjective float64
@@ -462,52 +475,52 @@ type gatewayOptions struct {
 	syncRetrain bool
 }
 
-// validateFlags rejects nonsensical flag combinations before any
-// socket is opened or goroutine started, so a typo'd invocation dies
-// with one clear line instead of a zero-traffic run (or a divide/alloc
-// panic deep in a worker). Pure so the table test can sweep it.
-func validateFlags(workers, shards, traceSample, traceBuf, rffDim, burst, ringSize, latSample int, rffAgreement, sloObj float64, tsRes, tsRetain, sloWindow time.Duration) error {
-	if workers < 1 {
-		return fmt.Errorf("-workers must be >= 1, got %d", workers)
+// validate rejects nonsensical flag combinations before any socket is
+// opened or goroutine started, so a typo'd invocation dies with one
+// clear line instead of a zero-traffic run (or a divide/alloc panic
+// deep in a worker). Pure so the table test can sweep it.
+func (o gatewayOptions) validate() error {
+	if o.workers < 1 {
+		return fmt.Errorf("-workers must be >= 1, got %d", o.workers)
 	}
-	if shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", shards)
+	if o.shards < 1 {
+		return fmt.Errorf("-shards must be >= 1, got %d", o.shards)
 	}
-	if burst < 1 {
-		return fmt.Errorf("-burst must be >= 1, got %d", burst)
+	if o.burst < 1 {
+		return fmt.Errorf("-burst must be >= 1, got %d", o.burst)
 	}
-	if ringSize < burst {
-		return fmt.Errorf("-ringsize must be >= -burst (%d), got %d", burst, ringSize)
+	if o.ringSize < o.burst {
+		return fmt.Errorf("-ringsize must be >= -burst (%d), got %d", o.burst, o.ringSize)
 	}
-	if traceSample < 0 {
-		return fmt.Errorf("-tracesample must be >= 0 (0 disables tracing), got %d", traceSample)
+	if o.traceSample < 0 {
+		return fmt.Errorf("-tracesample must be >= 0 (0 disables tracing), got %d", o.traceSample)
 	}
-	if traceBuf < 0 {
-		return fmt.Errorf("-tracebuf must be >= 0, got %d", traceBuf)
+	if o.traceBuf < 0 {
+		return fmt.Errorf("-tracebuf must be >= 0, got %d", o.traceBuf)
 	}
-	if traceSample > 0 && traceBuf < 1 {
-		return fmt.Errorf("-tracebuf must be >= 1 when tracing is on, got %d", traceBuf)
+	if o.traceSample > 0 && o.traceBuf < 1 {
+		return fmt.Errorf("-tracebuf must be >= 1 when tracing is on, got %d", o.traceBuf)
 	}
-	if rffDim < 2 {
-		return fmt.Errorf("-rffdim must be >= 2 (cos/sin pairs), got %d", rffDim)
+	if o.rffDim < 2 {
+		return fmt.Errorf("-rffdim must be >= 2 (cos/sin pairs), got %d", o.rffDim)
 	}
-	if rffAgreement <= 0 || rffAgreement > 1 {
-		return fmt.Errorf("-rffagreement must be in (0, 1], got %g", rffAgreement)
+	if o.rffAgreement <= 0 || o.rffAgreement > 1 {
+		return fmt.Errorf("-rffagreement must be in (0, 1], got %g", o.rffAgreement)
 	}
-	if latSample < 1 {
-		return fmt.Errorf("-latsample must be >= 1 (1 = every admission), got %d", latSample)
+	if o.latSample < 1 {
+		return fmt.Errorf("-latsample must be >= 1 (1 = every admission), got %d", o.latSample)
 	}
-	if sloObj <= 0 || sloObj >= 1 {
-		return fmt.Errorf("-sloobj must be in (0, 1), got %g", sloObj)
+	if o.sloObjective <= 0 || o.sloObjective >= 1 {
+		return fmt.Errorf("-sloobj must be in (0, 1), got %g", o.sloObjective)
 	}
-	if tsRes <= 0 {
-		return fmt.Errorf("-tsres must be > 0, got %v", tsRes)
+	if o.tsRes <= 0 {
+		return fmt.Errorf("-tsres must be > 0, got %v", o.tsRes)
 	}
-	if tsRetain < tsRes {
-		return fmt.Errorf("-tsretain must be >= -tsres (%v), got %v", tsRes, tsRetain)
+	if o.tsRetain < o.tsRes {
+		return fmt.Errorf("-tsretain must be >= -tsres (%v), got %v", o.tsRes, o.tsRetain)
 	}
-	if sloWindow < 15*time.Second {
-		return fmt.Errorf("-slowindow must be >= 15s (the fast window is 1/15th of it), got %v", sloWindow)
+	if o.sloWindow < 15*time.Second {
+		return fmt.Errorf("-slowindow must be >= 15s (the fast window is 1/15th of it), got %v", o.sloWindow)
 	}
 	return nil
 }
@@ -536,7 +549,7 @@ func buildIdentity() (revision, goVersion string) {
 // quiet before the sweep classifies it anyway (the silence case).
 const classifySilence = 2.0 // seconds
 
-func newGateway(listen string, space excr.Space, shards int, opts gatewayOptions, reg *obs.Registry, tracer *trace.Tracer) (*gateway, error) {
+func newGateway(listen string, space excr.Space, opts gatewayOptions, reg *obs.Registry, tracer *trace.Tracer) (*gateway, error) {
 	addr, err := net.ResolveUDPAddr("udp", listen)
 	if err != nil {
 		return nil, err
@@ -655,7 +668,7 @@ func newGateway(listen string, space excr.Space, shards int, opts gatewayOptions
 	// One registry wires every layer: the middlebox core (audit ring,
 	// admission latency, per-cell classifier metrics), the flow table
 	// (occupancy, expiries) and the gateway's own packet/flow counters.
-	table := flows.NewShardedTable(shards, 10, 30, space)
+	table := flows.NewShardedTable(opts.shards, 10, 30, space)
 	table.Instrument(reg, "exbox_flows")
 
 	// The ingest rings: one bounded MPSC per worker, plus the wake
@@ -898,8 +911,8 @@ func newWorkerState(burst int) *workerState {
 //     done after one pass.
 //
 // Within a shard, packets are processed in arrival order; a flow's
-// packets all map to one shard, so per-flow semantics are identical to
-// the per-packet path (see flows/batch.go for the ordering contract).
+// packets all map to one shard, so per-flow semantics do not depend on
+// the burst size (see flows/batch.go for the ordering contract).
 func (g *gateway) processBurst(ws *workerState, pkts []pkt) {
 	n := len(pkts)
 	g.ingest.BurstSize.Observe(float64(n))
@@ -950,23 +963,11 @@ func (g *gateway) processBurst(ws *workerState, pkts []pkt) {
 				}
 			}
 			if f.ReadyToClassify(t.HeadCap) {
-				class, conf, err := g.fc.ClassifyFlow(f)
-				if err != nil {
-					return
+				if cand, conf, ok := g.classify(f); ok {
+					candIdx[i] = int32(len(ws.cands))
+					ws.cands = append(ws.cands, cand)
+					ws.conf = append(ws.conf, conf)
 				}
-				f.Class, f.Classified = class, true
-				if f.Trace != nil {
-					f.Trace.SetClass(int(class))
-					f.Trace.Add(trace.Span{
-						Kind: trace.KindClassify, UnixNanos: time.Now().UnixNano(),
-						Note: fmt.Sprintf("%v p=%.2f", class, conf),
-					})
-				}
-				candIdx[i] = int32(len(ws.cands))
-				ws.cands = append(ws.cands, exboxcore.BurstCandidate{
-					Class: class, Level: g.level(f.SNR), Trace: f.Trace,
-				})
-				ws.conf = append(ws.conf, conf)
 			}
 			// Settle the verdict from the flow's current state; when this
 			// burst produces decisions, the second pass recomputes every
@@ -1011,10 +1012,10 @@ func (g *gateway) processBurst(ws *workerState, pkts []pkt) {
 
 // applyDecisions is the burst pipeline's second grouped pass, run only
 // when the burst produced admission candidates: apply each decision to
-// its flow under the shard lock (exactly what the per-packet path did
-// inside Do) and resettle every packet's forward/drop verdict —
-// packets behind a rejection in the same burst are dropped, as they
-// would be had the decisions been made synchronously.
+// its flow under the shard lock and resettle every packet's
+// forward/drop verdict — packets behind a rejection in the same burst
+// are dropped, as they would be had the decisions been made
+// synchronously.
 func (g *gateway) applyDecisions(ws *workerState, pkts []pkt, candIdx []int32, forward []bool) {
 	g.table.DoBatch(&ws.bsc, len(pkts),
 		func(i int) int { return int(pkts[i].ce.shard) },
@@ -1028,25 +1029,7 @@ func (g *gateway) applyDecisions(ws *workerState, pkts []pkt, candIdx []int32, f
 				return
 			}
 			if ci := candIdx[i]; ci >= 0 && int(ci) < len(ws.outs) {
-				out := ws.outs[ci]
-				f.Decided = true
-				f.Admitted = out.Verdict == exboxcore.Admit
-				if f.Admitted {
-					g.admitted.Inc()
-					g.table.TrackAdmitted(f)
-				} else {
-					g.rejected.Inc()
-					// Rejections are always worth a trace: promote the flow
-					// past head sampling, backfilling the arrival and
-					// decision spans so the exported trace is complete.
-					if f.Trace == nil && g.tracer != nil {
-						f.Trace = g.tracer.Promote(traceID(f.Key), string(cellID), int(f.Class), int(g.level(f.SNR)),
-							"rejected", g.startNanos+int64(f.FirstSeen*1e9))
-						f.Trace.Add(exboxcore.DecisionSpan(time.Now().UnixNano(), 0, out))
-					}
-				}
-				log.Printf("flow %s classified %v (p=%.2f) snr=%v -> %v (margin %.2f)",
-					f.Key, f.Class, ws.conf[ci], f.SNR, out.Verdict, out.Decision.Margin)
+				g.applyDecision(f, ws.outs[ci], ws.conf[ci])
 			}
 			// Pre-decision packets pass (classification needs them);
 			// after the decision, rejected flows are dropped at the gate.
@@ -1054,12 +1037,14 @@ func (g *gateway) applyDecisions(ws *workerState, pkts []pkt, candIdx []int32, f
 		})
 }
 
-// classifyAndDecide runs traffic classification and admission control
-// for one flow. Caller holds the flow's shard lock.
-func (g *gateway) classifyAndDecide(f *flows.Flow, scratch *classifier.Scratch) {
+// classify runs traffic classification for a flow whose head filled
+// (processBurst) or that went quiet before it did (the silence sweep)
+// and returns its admission candidate with the classifier's
+// confidence. Caller holds the flow's shard lock.
+func (g *gateway) classify(f *flows.Flow) (exboxcore.BurstCandidate, float64, bool) {
 	class, conf, err := g.fc.ClassifyFlow(f)
 	if err != nil {
-		return
+		return exboxcore.BurstCandidate{}, 0, false
 	}
 	f.Class, f.Classified = class, true
 	if f.Trace != nil {
@@ -1069,11 +1054,15 @@ func (g *gateway) classifyAndDecide(f *flows.Flow, scratch *classifier.Scratch) 
 			Note: fmt.Sprintf("%v p=%.2f", class, conf),
 		})
 	}
-	current := g.table.Matrix()
-	out, err := g.mb.AdmitTraced(cellID, excr.Arrival{Matrix: current, Class: class, Level: g.level(f.SNR)}, scratch, f.Trace)
-	if err != nil {
-		return
-	}
+	return exboxcore.BurstCandidate{Class: class, Level: g.level(f.SNR), Trace: f.Trace}, conf, true
+}
+
+// applyDecision is the one place an AdmitBurst outcome lands on its
+// flow, for head-filled and silence-classified flows alike: the
+// verdict, the gateway counters, the admitted-traffic matrix, trace
+// promotion on a rejection, and the per-flow log line. Caller holds
+// the flow's shard lock.
+func (g *gateway) applyDecision(f *flows.Flow, out exboxcore.Outcome, conf float64) {
 	f.Decided = true
 	f.Admitted = out.Verdict == exboxcore.Admit
 	if f.Admitted {
@@ -1083,19 +1072,19 @@ func (g *gateway) classifyAndDecide(f *flows.Flow, scratch *classifier.Scratch) 
 		g.rejected.Inc()
 		// Rejections are always worth a trace: promote the flow past
 		// head sampling, backfilling the arrival and decision spans so
-		// the exported trace is still complete.
+		// the exported trace is complete.
 		if f.Trace == nil && g.tracer != nil {
-			f.Trace = g.tracer.Promote(traceID(f.Key), string(cellID), int(class), int(g.level(f.SNR)),
+			f.Trace = g.tracer.Promote(traceID(f.Key), string(cellID), int(f.Class), int(g.level(f.SNR)),
 				"rejected", g.startNanos+int64(f.FirstSeen*1e9))
 			f.Trace.Add(exboxcore.DecisionSpan(time.Now().UnixNano(), 0, out))
 		}
 	}
-	log.Printf("flow %s classified %v (p=%.2f) snr=%v with matrix %v -> %v (margin %.2f)",
-		f.Key, class, conf, f.SNR, current, out.Verdict, out.Decision.Margin)
+	log.Printf("flow %s classified %v (p=%.2f) snr=%v -> %v (margin %.2f)",
+		f.Key, f.Class, conf, f.SNR, out.Verdict, out.Decision.Margin)
 }
 
 // level collapses a flow's SNR into the space the middlebox runs on,
-// the same rule Reevaluate applies.
+// the same rule ReevaluateWith applies.
 func (g *gateway) level(snr excr.SNRLevel) excr.SNRLevel {
 	if g.space.Levels == 1 {
 		return 0
@@ -1150,16 +1139,16 @@ func snrFor(src *net.UDPAddr) excr.SNRLevel {
 func (g *gateway) sweeper(done chan struct{}) {
 	tick := time.NewTicker(500 * time.Millisecond)
 	defer tick.Stop()
-	// The sweeper's own classifier workspace: late classification and
-	// the batched re-evaluation sweep reuse it tick after tick.
-	scratch := new(classifier.Scratch)
+	// The sweeper's own burst workspace (the zero value grows on
+	// demand): late admission reuses it tick after tick.
+	var ws workerState
 	n := 0
 	for {
 		select {
 		case <-done:
 			return
 		case <-tick.C:
-			g.sweep(time.Since(g.start).Seconds(), scratch)
+			g.sweep(time.Since(g.start).Seconds(), &ws)
 			if n++; n%10 == 0 {
 				g.logStats()
 				g.checkHealth()
@@ -1235,18 +1224,43 @@ func (g *gateway) logStats() {
 		g.ingest.Drops.Value(), g.ingest.BurstSize.Quantile(0.5), g.ingest.BurstSize.Quantile(0.99))
 }
 
-func (g *gateway) sweep(now float64, scratch *classifier.Scratch) {
-	// Silence case: classify short flows whose head never filled.
+func (g *gateway) sweep(now float64, ws *workerState) {
+	// Silence case: classify short flows whose head never filled under
+	// the shard locks, then decide them exactly as processBurst decides
+	// head-filled flows — one AdmitBurst outside any shard lock, each
+	// outcome applied under its flow's lock.
+	ws.cands, ws.conf = ws.cands[:0], ws.conf[:0]
+	var silent []flows.Key
 	g.table.Sweep(func(t *flows.Table) {
 		for _, f := range t.Active() {
-			if f.ReadyBySilence(now, classifySilence) {
-				g.classifyAndDecide(f, scratch)
-				if f.Classified {
-					g.lateClass.Inc()
-				}
+			if !f.ReadyBySilence(now, classifySilence) {
+				continue
+			}
+			if cand, conf, ok := g.classify(f); ok {
+				ws.cands = append(ws.cands, cand)
+				ws.conf = append(ws.conf, conf)
+				silent = append(silent, f.Key)
+				g.lateClass.Inc()
 			}
 		}
 	})
+	if len(silent) > 0 {
+		var err error
+		if ws.outs, err = g.mb.AdmitBurst(cellID, g.table.Matrix(), ws.cands, ws.outs, &ws.burst); err != nil {
+			log.Printf("admit burst: %v", err)
+			silent = nil
+		}
+		for i, k := range silent {
+			g.table.Do(k, func(t *flows.Table) {
+				// Only this goroutine expires flows and the flow is
+				// already marked classified, so it is still here and
+				// still undecided.
+				if f := t.Get(k); f != nil {
+					g.applyDecision(f, ws.outs[i], ws.conf[i])
+				}
+			})
+		}
+	}
 
 	// Expire idle flows (the table counts the expiries); their observed
 	// tuples (labeled by the demo oracle, standing in for the QoE
@@ -1254,7 +1268,7 @@ func (g *gateway) sweep(now float64, scratch *classifier.Scratch) {
 	// retrainer. Rejected flows expire too — the gateway stops
 	// refreshing their activity once the drop decision is made — so
 	// negative outcomes feed the training set just like positives.
-	// The whole expiry batch goes through ObserveBatchTraced: one
+	// The whole expiry batch goes through ObserveBatch: one
 	// training-lock hold and one retrain kick per sweep instead of one
 	// per expired flow.
 	current := g.table.Matrix()
@@ -1269,7 +1283,7 @@ func (g *gateway) sweep(now float64, scratch *classifier.Scratch) {
 		}
 	}
 	if len(samples) > 0 {
-		_ = g.mb.ObserveBatchTraced(cellID, samples, traces)
+		_ = g.mb.ObserveBatch(cellID, samples, traces)
 		g.feedback.Add(int64(len(samples)))
 	}
 	for _, f := range expired {
@@ -1283,7 +1297,7 @@ func (g *gateway) sweep(now float64, scratch *classifier.Scratch) {
 	}
 
 	// Dynamics (Section 4.3): rebuild the admitted-flow list and its
-	// matrix in one sweep so Reevaluate sees a self-consistent pair,
+	// matrix in one sweep so ReevaluateWith sees a self-consistent pair,
 	// then discontinue flows whose re-classification turned negative.
 	var active []exboxcore.ActiveFlow
 	var keys []flows.Key
@@ -1301,7 +1315,7 @@ func (g *gateway) sweep(now float64, scratch *classifier.Scratch) {
 	if len(active) == 0 {
 		return
 	}
-	evict, err := g.mb.ReevaluateWith(cellID, matrix, active, scratch)
+	evict, err := g.mb.ReevaluateWith(cellID, matrix, active, nil)
 	if err != nil {
 		log.Printf("reevaluate: %v", err)
 		return
@@ -1346,8 +1360,9 @@ func (g *gateway) report() {
 }
 
 // sendTrace plays a synthetic class trace against the gateway from its
-// own UDP socket (one socket = one flow).
-func sendTrace(gwAddr string, class excr.AppClass, d time.Duration, seed int64) error {
+// own UDP socket (one socket = one flow) until the trace ends, d
+// elapses or done closes.
+func sendTrace(gwAddr string, class excr.AppClass, d time.Duration, seed int64, done <-chan struct{}) error {
 	raddr, err := net.ResolveUDPAddr("udp", gwAddr)
 	if err != nil {
 		return err
@@ -1364,6 +1379,11 @@ func sendTrace(gwAddr string, class excr.AppClass, d time.Duration, seed int64) 
 	for _, p := range tr.Packets {
 		if p.Bytes <= 0 {
 			continue
+		}
+		select {
+		case <-done:
+			return nil
+		default:
 		}
 		at := time.Duration(p.TimeSec * float64(time.Second))
 		if sleep := at - time.Since(start); sleep > 0 {

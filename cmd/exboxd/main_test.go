@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"exbox/internal/classifier"
 	"exbox/internal/excr"
 	"exbox/internal/flows"
 	"exbox/internal/obs"
@@ -55,7 +54,7 @@ func metricValue(page, name string) float64 {
 // — the same wiring `exboxd -http :9090` serves.
 func TestGatewayTelemetryEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
-	gw, err := newGateway("127.0.0.1:0", excr.DefaultSpace, 8, gatewayOptions{warmStart: true}, reg, nil)
+	gw, err := newGateway("127.0.0.1:0", excr.DefaultSpace, gatewayOptions{warmStart: true, shards: 8}, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestGatewayTelemetryEndToEnd(t *testing.T) {
 func TestGatewayTracingAndHealthEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := trace.New(64, 1)
-	gw, err := newGateway("127.0.0.1:0", excr.DefaultSpace, 8, gatewayOptions{warmStart: true}, reg, tracer)
+	gw, err := newGateway("127.0.0.1:0", excr.DefaultSpace, gatewayOptions{warmStart: true, shards: 8}, reg, tracer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +261,7 @@ func TestGatewayTracingAndHealthEndToEnd(t *testing.T) {
 
 	// Force every flow to expire so rejected traces complete with their
 	// observe/expiry spans, then check the exported lifecycle.
-	gw.sweep(1e9, new(classifier.Scratch))
+	gw.sweep(1e9, new(workerState))
 	gw.checkHealth()
 
 	body := scrape(t, base, "/debug/traces?verdict=reject")
@@ -330,15 +329,15 @@ func TestSNRStablePerClient(t *testing.T) {
 // rejected combination names the offending flag, every sane one
 // passes.
 func TestValidateFlags(t *testing.T) {
-	// sane holds the passing default for every argument; each case
-	// overrides what it sweeps so new flags don't rewrite the table.
-	type args struct {
-		workers, shards, traceSample, traceBuf int
-		rffDim, burst, ringSize, latSample     int
-		rffAgreement, sloObj                   float64
-		tsRes, tsRetain, sloWindow             time.Duration
+	// sane holds the passing default for every validated option; each
+	// case overrides what it sweeps so new flags don't rewrite the table.
+	type args = gatewayOptions
+	sane := args{
+		workers: 4, shards: 32, traceSample: 16, traceBuf: 256,
+		rffDim: 256, burst: 64, ringSize: 1024, latSample: 16,
+		rffAgreement: 0.9, sloObjective: 0.99,
+		tsRes: time.Second, tsRetain: 15 * time.Minute, sloWindow: 15 * time.Minute,
 	}
-	sane := args{4, 32, 16, 256, 256, 64, 1024, 16, 0.9, 0.99, time.Second, 15 * time.Minute, 15 * time.Minute}
 	cases := []struct {
 		name    string
 		mut     func(*args)
@@ -367,9 +366,9 @@ func TestValidateFlags(t *testing.T) {
 		{"zero latsample", func(a *args) { a.latSample = 0 }, "-latsample"},
 		{"negative latsample", func(a *args) { a.latSample = -4 }, "-latsample"},
 		{"latsample every admission", func(a *args) { a.latSample = 1 }, ""},
-		{"sloobj zero", func(a *args) { a.sloObj = 0 }, "-sloobj"},
-		{"sloobj one", func(a *args) { a.sloObj = 1 }, "-sloobj"},
-		{"sloobj three nines", func(a *args) { a.sloObj = 0.999 }, ""},
+		{"sloobj zero", func(a *args) { a.sloObjective = 0 }, "-sloobj"},
+		{"sloobj one", func(a *args) { a.sloObjective = 1 }, "-sloobj"},
+		{"sloobj three nines", func(a *args) { a.sloObjective = 0.999 }, ""},
 		{"zero tsres", func(a *args) { a.tsRes = 0 }, "-tsres"},
 		{"negative tsres", func(a *args) { a.tsRes = -time.Second }, "-tsres"},
 		{"retention below resolution", func(a *args) { a.tsRetain = time.Millisecond }, "-tsretain"},
@@ -380,7 +379,7 @@ func TestValidateFlags(t *testing.T) {
 	for _, tc := range cases {
 		a := sane
 		tc.mut(&a)
-		err := validateFlags(a.workers, a.shards, a.traceSample, a.traceBuf, a.rffDim, a.burst, a.ringSize, a.latSample, a.rffAgreement, a.sloObj, a.tsRes, a.tsRetain, a.sloWindow)
+		err := a.validate()
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -399,8 +398,8 @@ func TestValidateFlags(t *testing.T) {
 // bootstrap fit ships a tier, and the per-cell rff metrics exist.
 func TestGatewayRFFOptions(t *testing.T) {
 	reg := obs.NewRegistry()
-	gw, err := newGateway("127.0.0.1:0", excr.DefaultSpace, 8,
-		gatewayOptions{warmStart: true, rff: true, rffDim: 128, rffAgreement: 0.5}, reg, nil)
+	gw, err := newGateway("127.0.0.1:0", excr.DefaultSpace,
+		gatewayOptions{warmStart: true, shards: 8, rff: true, rffDim: 128, rffAgreement: 0.5}, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

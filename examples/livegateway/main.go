@@ -127,16 +127,19 @@ func main() {
 					f.Trace.SetClass(int(class))
 					f.Trace.Add(trace.Span{Kind: trace.KindClassify, UnixNanos: time.Now().UnixNano(), Note: class.String()})
 					// Propagate the flow's SNR with the same collapse
-					// rule Reevaluate uses for single-level spaces.
+					// rule ReevaluateWith uses for single-level spaces.
 					lvl := f.SNR
 					if excr.DefaultSpace.Levels == 1 {
 						lvl = 0
 					}
-					out, err := mb.AdmitTraced(cell, excr.Arrival{Matrix: table.Matrix(excr.DefaultSpace), Class: class, Level: lvl}, nil, f.Trace)
+					// A burst of one traced candidate: the decision span lands
+					// on the flow's trace.
+					outs, err := mb.AdmitBurst(cell, table.Matrix(excr.DefaultSpace),
+						[]exboxcore.BurstCandidate{{Class: class, Level: lvl, Trace: f.Trace}}, nil, nil)
 					if err == nil {
 						f.Decided = true
-						f.Admitted = out.Verdict == exboxcore.Admit
-						decisions <- fmt.Sprintf("%s -> %v as %v", f.Key, out.Verdict, class)
+						f.Admitted = outs[0].Verdict == exboxcore.Admit
+						decisions <- fmt.Sprintf("%s -> %v as %v", f.Key, outs[0].Verdict, class)
 					}
 				}
 			}

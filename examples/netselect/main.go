@@ -52,7 +52,7 @@ func main() {
 		out, ok, err := mb.SelectNetwork([]exbox.Candidate{
 			{Cell: "wifi-ap1", Arrival: exbox.Arrival{Matrix: wifiLoad, Class: class}},
 			{Cell: "lte-enb1", Arrival: exbox.Arrival{Matrix: lteLoad, Class: class}},
-		})
+		}, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func main() {
 			id++
 		}
 	}
-	evict, err := mb.Reevaluate("wifi-ap1", wifiLoad, active)
+	evict, err := mb.ReevaluateWith("wifi-ap1", wifiLoad, active, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -203,19 +203,18 @@ type modelSnapshot struct {
 }
 
 // Scratch is per-caller workspace for the allocation-free decision
-// paths: feature rows, the standardized-sample buffer, and the batch
-// slabs all live here and are grown on demand. A Scratch must not be
-// used concurrently; hold one per worker (cmd/exboxd does) or let
-// Decide borrow one from the internal pool. The classifier never
-// retains a Scratch or any slice inside it beyond the call.
+// paths: the feature rows and the batch slabs live here and are grown
+// on demand. A Scratch must not be used concurrently; hold one per
+// worker (cmd/exboxd does) or let Decide/DecideBatch borrow one from
+// the internal pool. The classifier never retains a Scratch or any
+// slice inside it beyond the call.
 type Scratch struct {
-	feat  []float64   // one feature row (DecideScratch)
-	z     []float64   // standardized-sample buffer for DecisionInto
-	slab  []float64   // flat feature storage for DecideBatch rows
+	slab  []float64   // flat feature storage for the batch rows
 	rows  [][]float64 // row views into slab
 	score []float64   // raw decision values for a batch
 	batch []float64   // FastPredictor.DecisionBatch workspace
-	bad   []bool      // per-row non-finite-feature marks for DecideBatch
+	bad   []bool      // per-row forced-reject marks (see Bad)
+	one   [1]Decision // Decide's batch-of-one destination
 }
 
 // scratchPool backs plain Decide so callers that don't hold their own
@@ -586,31 +585,23 @@ func (ac *AdmittanceClassifier) fit(req *fitRequest) error {
 	}
 	start := time.Now()
 	// With model health enabled, ask the learner for the solver's
-	// per-phase accounting; learners without it fall back to the plain
-	// entry points and the record simply carries no solve split.
+	// per-phase accounting; a learner without solver phases leaves it
+	// untouched (Rows still 0) and the record carries no solve split.
 	h := ac.health.Load()
 	var stats *svm.SolveStats
 	if h != nil {
 		stats = new(svm.SolveStats)
 	}
-	var m learner.Predictor
-	var err error
-	if wl, ok := ac.learner.(learner.WarmLearner); ok && ac.cfg.WarmStart && len(req.keys) == len(req.x) {
-		var warmed bool
-		if wdl, ok := ac.learner.(learner.WarmDetailedLearner); ok && stats != nil {
-			m, warmed, err = wdl.TrainWarmDetailed(req.x, req.y, req.keys, stats)
-		} else {
-			stats = nil
-			m, warmed, err = wl.TrainWarm(req.x, req.y, req.keys)
-		}
-		if warmed {
-			ac.metrics.WarmFits.Inc()
-		}
-	} else if dl, ok := ac.learner.(learner.DetailedLearner); ok && stats != nil {
-		m, err = dl.TrainDetailed(req.x, req.y, stats)
-	} else {
+	keys := req.keys
+	if !ac.cfg.WarmStart || len(keys) != len(req.x) {
+		keys = nil // cold fit
+	}
+	m, warmed, err := ac.learner.Train(req.x, req.y, keys, stats)
+	if warmed {
+		ac.metrics.WarmFits.Inc()
+	}
+	if stats != nil && stats.Rows == 0 {
 		stats = nil
-		m, err = ac.learner.Train(req.x, req.y)
 	}
 	if errors.Is(err, learner.ErrOneClass) {
 		ac.metrics.FitErrors.Inc()
@@ -722,71 +713,25 @@ func (ac *AdmittanceClassifier) Maintain() error {
 // classifier graduates); online, the SVM's sign decides and the margin
 // reports depth inside the region. Decide is lock-free: it reads the
 // last published model snapshot, so admission never waits on training.
+// It is DecideBatch of one arrival on a pooled Scratch, allocation-free.
 func (ac *AdmittanceClassifier) Decide(a excr.Arrival) Decision {
 	s := scratchPool.Get().(*Scratch)
-	d := ac.DecideScratch(a, s)
+	// The one-element arrival slice stays on the stack: scoreBatch only
+	// reads it.
+	d := ac.scoreBatch(s.one[:0], []excr.Arrival{a}, s)[0]
+	ac.RecordDecision(d, s.bad[0])
 	scratchPool.Put(s)
 	return d
-}
-
-// DecideScratch is Decide with caller-owned workspace: per-worker
-// callers (exboxd's packet workers) hold a Scratch each so the online
-// decision performs no allocation. A nil Scratch falls back to the
-// internal pool.
-func (ac *AdmittanceClassifier) DecideScratch(a excr.Arrival, s *Scratch) Decision {
-	if s == nil {
-		return ac.Decide(a)
-	}
-	st := ac.state.Load()
-	if st.bootstrap || st.model == nil {
-		ac.metrics.BootstrapDecisions.Inc()
-		ac.metrics.Admits.Inc()
-		return Decision{Admit: true, Bootstrap: true}
-	}
-	s.feat = a.FeaturesInto(s.feat)
-	if !mathx.AllFinite(s.feat) {
-		ac.metrics.BadFeatures.Inc()
-		ac.metrics.Rejects.Inc()
-		return Decision{Model: st.version}
-	}
-	var margin float64
-	if st.approx != nil && !ac.rffDemoted.Load() {
-		margin = st.approx.DecisionApprox(s.feat)
-	} else if st.fast != nil {
-		if need := st.fast.Dim(); cap(s.z) < need {
-			s.z = make([]float64, need)
-		}
-		margin = st.fast.DecisionInto(s.z[:cap(s.z)], s.feat)
-	} else {
-		margin = st.model.Decision(s.feat)
-	}
-	if margin != margin { // NaN: reject, and keep it out of the drift bins
-		ac.metrics.BadFeatures.Inc()
-		ac.metrics.Rejects.Inc()
-		return Decision{Model: st.version}
-	}
-	ac.metrics.Margin.Observe(margin)
-	if h := ac.health.Load(); h != nil {
-		h.observeMargin(margin)
-	}
-	if margin >= 0 {
-		ac.metrics.Admits.Inc()
-	} else {
-		ac.metrics.Rejects.Inc()
-	}
-	return Decision{Admit: margin >= 0, Margin: margin, Depth: depthOf(margin, st.calibration), Model: st.version}
 }
 
 // DecideBatch scores every arrival against one model snapshot — the
 // consistency the Reevaluate sweep and SelectNetwork fan-out need: a
 // concurrent refit cannot change the boundary mid-batch. Decisions are
 // written into dst (grown when too small) and returned. With a
-// caller-owned Scratch the whole batch is one pass over the SV slab
-// and allocation-free; metrics count every decision, batched into two
-// counter updates.
+// caller-owned Scratch the batch is allocation-free; every decision is
+// recorded (RecordDecision).
 func (ac *AdmittanceClassifier) DecideBatch(dst []Decision, arrivals []excr.Arrival, s *Scratch) []Decision {
-	n := len(arrivals)
-	if n == 0 {
+	if len(arrivals) == 0 {
 		return dst[:0]
 	}
 	if s == nil {
@@ -794,34 +739,9 @@ func (ac *AdmittanceClassifier) DecideBatch(dst []Decision, arrivals []excr.Arri
 		defer scratchPool.Put(s)
 	}
 	dst = ac.scoreBatch(dst, arrivals, s)
-	if dst[0].Bootstrap {
-		ac.metrics.BootstrapDecisions.Add(int64(n))
-		ac.metrics.Admits.Add(int64(n))
-		return dst
-	}
-	h := ac.health.Load()
-	var admits, rejects, nbad int64
 	for i, d := range dst {
-		if s.bad[i] {
-			nbad++
-			rejects++
-			continue
-		}
-		ac.metrics.Margin.Observe(d.Margin)
-		if h != nil {
-			h.observeMargin(d.Margin)
-		}
-		if d.Admit {
-			admits++
-		} else {
-			rejects++
-		}
+		ac.RecordDecision(d, s.bad[i])
 	}
-	if nbad > 0 {
-		ac.metrics.BadFeatures.Add(nbad)
-	}
-	ac.metrics.Admits.Add(admits)
-	ac.metrics.Rejects.Add(rejects)
 	return dst
 }
 
@@ -841,12 +761,13 @@ func (ac *AdmittanceClassifier) PeekBatch(dst []Decision, arrivals []excr.Arriva
 	return ac.scoreBatch(dst, arrivals, s)
 }
 
-// RecordDecision performs the per-decision telemetry that DecideScratch
-// would have recorded for d: the verdict counter, margin histogram and
-// health sample (or the bootstrap/bad-feature counters). bad is the
-// scratch's Bad mark for the row d came from. AdmitBurst calls it once
-// per candidate, in packet order, when the cascade commits the
-// candidate's final decision.
+// RecordDecision is the one place a committed decision reaches
+// telemetry: the verdict counter, margin histogram and health sample
+// (or the bootstrap/bad-feature counters). bad is the scratch's Bad
+// mark for the row d came from. Decide and DecideBatch call it for
+// every decision they return; AdmitBurst calls it once per candidate,
+// in packet order, when the cascade commits the candidate's final
+// decision.
 func (ac *AdmittanceClassifier) RecordDecision(d Decision, bad bool) {
 	if d.Bootstrap {
 		ac.metrics.BootstrapDecisions.Inc()
@@ -875,9 +796,11 @@ func (ac *AdmittanceClassifier) RecordDecision(d Decision, bad bool) {
 // the Scratch's next batch call.
 func (s *Scratch) Bad(i int) bool { return s.bad[i] }
 
-// scoreBatch is the scoring core of DecideBatch and PeekBatch: extract
-// features into the scratch slab, score the whole batch against one
-// model snapshot, and write the decisions — recording no telemetry.
+// scoreBatch is the scoring core of Decide, DecideBatch and PeekBatch,
+// and the only place that selects the scoring tier and applies the
+// feature-boundary guards: extract features into the scratch slab,
+// score the whole batch against one model snapshot, and write the
+// decisions — recording no telemetry.
 // s.bad[i] marks rows forced to reject at the feature boundary
 // (including NaN margins). Caller guarantees n > 0 and s != nil.
 func (ac *AdmittanceClassifier) scoreBatch(dst []Decision, arrivals []excr.Arrival, s *Scratch) []Decision {
@@ -909,7 +832,7 @@ func (ac *AdmittanceClassifier) scoreBatch(dst []Decision, arrivals []excr.Arriv
 	for i, a := range arrivals {
 		rows[i] = a.FeaturesInto(s.slab[i*fd : i*fd : (i+1)*fd])
 		if bad[i] = !mathx.AllFinite(rows[i]); bad[i] {
-			// Zero the row so the slab pass stays finite; the verdict
+			// Zero the row so the scoring pass stays finite; the verdict
 			// for this row is forced to reject below.
 			for j := range rows[i] {
 				rows[i][j] = 0

@@ -83,12 +83,11 @@ func TestHealthHistoryBounded(t *testing.T) {
 func TestHealthDriftWindows(t *testing.T) {
 	ac := onlineClassifier(t, svm.RBF)
 	ac.EnableHealth(HealthConfig{DriftWindow: 64})
-	var s Scratch
 
 	// Two windows from the same arrival distribution: the first freezes
 	// the reference, the second produces a (small) PSI.
 	for i := 0; i < 128; i++ {
-		ac.DecideScratch(webArrival(i%6), &s)
+		ac.Decide(webArrival(i % 6))
 	}
 	snap, _ := ac.HealthSnapshot()
 	if !snap.DriftReady || snap.DriftWindows != 1 {
@@ -104,7 +103,7 @@ func TestHealthDriftWindows(t *testing.T) {
 		Class: excr.Conferencing,
 	}
 	for i := 0; i < 64; i++ {
-		ac.DecideScratch(overload, &s)
+		ac.Decide(overload)
 	}
 	snap, _ = ac.HealthSnapshot()
 	if snap.DriftWindows != 2 {
@@ -153,14 +152,15 @@ func TestDecideAllocsWithHealth(t *testing.T) {
 		// A window far smaller than the sample count, so rotations happen
 		// inside the measured loop.
 		ac.EnableHealth(HealthConfig{DriftWindow: 16})
-		a := webArrival(3)
+		one := []excr.Arrival{webArrival(3)}
 		var s Scratch
 		var sink float64
-		ac.DecideScratch(a, &s)
+		dst := ac.DecideBatch(nil, one, &s)
 		if got := testing.AllocsPerRun(200, func() {
-			sink += ac.DecideScratch(a, &s).Margin
+			dst = ac.DecideBatch(dst, one, &s)
+			sink += dst[0].Margin
 		}); got != 0 {
-			t.Errorf("%v DecideScratch with health: %v allocs/op, want 0", kernel, got)
+			t.Errorf("%v DecideBatch of one with health: %v allocs/op, want 0", kernel, got)
 		}
 		_ = sink
 	}
@@ -172,9 +172,8 @@ func TestDecideAllocsWithHealth(t *testing.T) {
 func TestEnableHealthFirstCallWins(t *testing.T) {
 	ac := onlineClassifier(t, svm.Linear)
 	ac.EnableHealth(HealthConfig{DriftWindow: 8})
-	var s Scratch
 	for i := 0; i < 16; i++ {
-		ac.DecideScratch(webArrival(i%4), &s)
+		ac.Decide(webArrival(i % 4))
 	}
 	snap1, _ := ac.HealthSnapshot()
 	if !snap1.DriftReady {

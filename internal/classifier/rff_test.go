@@ -8,6 +8,7 @@ import (
 	"exbox/internal/learner"
 	"exbox/internal/mathx"
 	"exbox/internal/obs"
+	"exbox/internal/svm"
 )
 
 // paritySamples builds labeled arrivals whose ground truth is the
@@ -99,10 +100,9 @@ func TestRFFDemotionEndToEnd(t *testing.T) {
 
 	// While the tier serves, margins come from the RFF readout and must
 	// differ numerically from the twin's exact slab on the same rows.
-	var sc, tsc Scratch
 	differ := false
 	for _, p := range probes {
-		if ac.DecideScratch(p.Arrival, &sc).Margin != twin.DecideScratch(p.Arrival, &tsc).Margin {
+		if ac.Decide(p.Arrival).Margin != twin.Decide(p.Arrival).Margin {
 			differ = true
 			break
 		}
@@ -138,8 +138,8 @@ func TestRFFDemotionEndToEnd(t *testing.T) {
 	// Demoted scoring must be the exact fast path: bit-identical to the
 	// twin's margins, model version for model version.
 	for i, p := range probes {
-		got := ac.DecideScratch(p.Arrival, &sc)
-		want := twin.DecideScratch(p.Arrival, &tsc)
+		got := ac.Decide(p.Arrival)
+		want := twin.Decide(p.Arrival)
 		if got.Margin != want.Margin || got.Admit != want.Admit {
 			t.Fatalf("probe %d post-demotion: margin %v admit %v, twin %v %v",
 				i, got.Margin, got.Admit, want.Margin, want.Admit)
@@ -151,9 +151,9 @@ func TestRFFDemotionEndToEnd(t *testing.T) {
 	for i, p := range probes {
 		arrivals[i] = p.Arrival
 	}
-	batch := ac.DecideBatch(nil, arrivals, &sc)
+	batch := ac.DecideBatch(nil, arrivals, nil)
 	for i, p := range probes {
-		if want := twin.DecideScratch(p.Arrival, &tsc); batch[i].Margin != want.Margin {
+		if want := twin.Decide(p.Arrival); batch[i].Margin != want.Margin {
 			t.Fatalf("batch probe %d post-demotion: %v, twin %v", i, batch[i].Margin, want.Margin)
 		}
 	}
@@ -217,8 +217,8 @@ type nanLearner struct{}
 
 func (nanLearner) Name() string { return "nan" }
 
-func (nanLearner) Train(x [][]float64, y []float64) (learner.Predictor, error) {
-	return nanPredictor{}, nil
+func (nanLearner) Train(x [][]float64, y []float64, _ []string, _ *svm.SolveStats) (learner.Predictor, bool, error) {
+	return nanPredictor{}, false, nil
 }
 
 type nanPredictor struct{}
@@ -252,7 +252,7 @@ func TestNaNMarginRejected(t *testing.T) {
 	probes := paritySamples(10, 6)
 	var sc Scratch
 	for i, p := range probes {
-		d := ac.DecideScratch(p.Arrival, &sc)
+		d := ac.Decide(p.Arrival)
 		if d.Admit || d.Margin != 0 || d.Depth != 0 {
 			t.Fatalf("probe %d: NaN margin produced %+v, want reject with zero margin", i, d)
 		}
@@ -294,5 +294,79 @@ func TestNaNMarginRejected(t *testing.T) {
 	}
 	if got := reg.Counter("rejects").Value(); got != int64(2*len(probes)) {
 		t.Fatalf("rejects = %d, want %d", got, 2*len(probes))
+	}
+}
+
+// TestDecideIsBatchOfOne pins the collapse of the single-arrival path
+// onto the batch primitive: Decide(a) and DecideBatch of the one-row
+// batch {a} must agree bit for bit in the decision and in every
+// classifier counter — on an online classifier, during bootstrap, and
+// on the bad-feature path (a NaN margin from a poisoned model).
+func TestDecideIsBatchOfOne(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() *AdmittanceClassifier
+	}{
+		{"online", func() *AdmittanceClassifier { return onlineClassifier(t, svm.RBF) }},
+		{"bootstrap", func() *AdmittanceClassifier { return New(excr.DefaultSpace, DefaultConfig()) }},
+		{"bad feature", func() *AdmittanceClassifier {
+			cfg := DefaultConfig()
+			cfg.Learner = nanLearner{}
+			cfg.MinBootstrap = 1 << 30
+			ac := New(excr.DefaultSpace, cfg)
+			for _, s := range paritySamples(30, 5) {
+				ac.Observe(s)
+			}
+			if err := ac.ForceOnline(); err != nil {
+				t.Fatal(err)
+			}
+			return ac
+		}},
+	} {
+		wire := func(ac *AdmittanceClassifier) *obs.Registry {
+			reg := obs.NewRegistry()
+			ac.SetMetrics(Metrics{
+				BootstrapDecisions: reg.Counter("bootstrap"),
+				Admits:             reg.Counter("admits"),
+				Rejects:            reg.Counter("rejects"),
+				BadFeatures:        reg.Counter("bad"),
+				Margin:             reg.HistogramNoSum("margin", obs.SignedExpBuckets(0.01, 4, 8)),
+			})
+			ac.EnableHealth(HealthConfig{DriftWindow: 8})
+			return reg
+		}
+		one, batch := tc.build(), tc.build()
+		regOne, regBatch := wire(one), wire(batch)
+		var s Scratch
+		var dst []Decision
+		for n := 0; n < 40; n++ {
+			a := excr.Arrival{
+				Matrix: excr.NewMatrix(excr.DefaultSpace).
+					Set(excr.Web, 0, (n*3)%19).Set(excr.Streaming, 0, (n*7)%23).Set(excr.Conferencing, 0, (n*5)%17),
+				Class: excr.AppClass(n % 3),
+			}
+			want := one.Decide(a)
+			dst = batch.DecideBatch(dst, []excr.Arrival{a}, &s)
+			if got := dst[0]; got != want {
+				t.Fatalf("%s arrival %d: batch of one %+v, Decide %+v", tc.name, n, got, want)
+			}
+		}
+		if a, b := regOne.String(), regBatch.String(); a != b {
+			t.Fatalf("%s: counters diverged:\nDecide:\n%s\nDecideBatch of one:\n%s", tc.name, a, b)
+		}
+		hOne, _ := one.HealthSnapshot()
+		hBatch, _ := batch.HealthSnapshot()
+		if hOne.DriftWindows != hBatch.DriftWindows || hOne.Drift != hBatch.Drift {
+			t.Fatalf("%s: health samples diverged: %+v vs %+v", tc.name, hOne, hBatch)
+		}
+		if tc.name == "online" && (regOne.Counter("admits").Value() == 0 || regOne.Counter("rejects").Value() == 0) {
+			t.Fatalf("online case is one-sided: %s", regOne.String())
+		}
+		if tc.name == "bad feature" && regOne.Counter("bad").Value() != 40 {
+			t.Fatalf("bad-feature case counted %d bad rows, want 40", regOne.Counter("bad").Value())
+		}
+		if tc.name == "bootstrap" && regOne.Counter("bootstrap").Value() != 40 {
+			t.Fatalf("bootstrap case counted %d bootstrap decisions, want 40", regOne.Counter("bootstrap").Value())
+		}
 	}
 }

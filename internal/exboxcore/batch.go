@@ -10,30 +10,29 @@ import (
 )
 
 // This file is the middlebox's burst datapath: the batched Observe and
-// Admit entry points the ingest ring drains into. The per-packet entry
-// points (Admit/AdmitTraced, Observe/ObserveTraced) stay the reference
-// semantics; everything here is pinned to them by tests — same
-// decisions bit for bit, same audit-ring records (modulo timestamps),
-// same counter totals — while paying per-burst instead of per-packet
-// for the registry lookup, the training-lock handshake, the clock
-// reads, and the model-snapshot loads.
+// Admit primitives the ingest ring drains into, and that single-arrival
+// Admit/Observe call with a burst of one. A burst of n is pinned by
+// tests to n bursts of one with the matrix advanced by the caller —
+// same decisions bit for bit, same audit-ring records (modulo
+// timestamps), same counter totals — while paying per-burst instead of
+// per-packet for the registry lookup, the training-lock handshake, the
+// clock reads, and the model-snapshot loads.
 
 // ObserveBatch feeds a burst of labeled tuples to one cell's
 // classifier under a single training-lock hold, then kicks the
-// background retrainer once. Equivalent to calling Observe per sample
-// (the classifier preserves per-sample phase transitions; the retrain
-// latch absorbs the collapsed kicks).
-func (mb *Middlebox) ObserveBatch(id CellID, samples []excr.Sample) error {
-	return mb.ObserveBatchTraced(id, samples, nil)
-}
-
-// ObserveBatchTraced is ObserveBatch with span emission: traces[i],
-// when non-nil, receives the observe span for samples[i]. traces may
-// be nil (no tracing) and must otherwise have len(samples) entries.
-// Spans are stamped after the batched observe completes, so their
-// timestamps are per-burst rather than per-sample — the span order
-// within each flow's own timeline is unchanged.
-func (mb *Middlebox) ObserveBatchTraced(id CellID, samples []excr.Sample, traces []*trace.FlowTrace) error {
+// background retrainer once (when the cell defers retraining, crossing
+// a batch boundary kicks the cell's worker instead of fitting inline;
+// the classifier preserves per-sample phase transitions and the
+// retrain latch absorbs the collapsed kicks).
+//
+// traces[i], when non-nil, receives the observe span for samples[i] —
+// the ground-truth label fed back for the flow, closing the loop
+// between what the classifier predicted and what the flow experienced.
+// traces may be nil (no tracing) and must otherwise have len(samples)
+// entries. Spans are stamped after the batched observe completes, so
+// their timestamps are per-burst rather than per-sample — the span
+// order within each flow's own timeline is unchanged.
+func (mb *Middlebox) ObserveBatch(id CellID, samples []excr.Sample, traces []*trace.FlowTrace) error {
 	if len(samples) == 0 {
 		return nil
 	}
@@ -69,10 +68,10 @@ type BurstCandidate struct {
 	Trace *trace.FlowTrace
 }
 
-// BurstScratch is caller-owned workspace for AdmitBatch/AdmitBurst:
-// the classifier scratch plus the cascade's count, arrival and
-// decision buffers. One per worker, grown on demand, reused across
-// bursts. Must not be shared concurrently.
+// BurstScratch is caller-owned workspace for AdmitBurst: the
+// classifier scratch plus the cascade's count, arrival and decision
+// buffers. One per worker, grown on demand, reused across bursts. Must
+// not be shared concurrently.
 type BurstScratch struct {
 	clf      classifier.Scratch
 	counts   []int                 // running matrix counts across the burst
@@ -84,69 +83,15 @@ type BurstScratch struct {
 	bad      []bool                // committed Bad marks, packet order
 }
 
-// Clf exposes the embedded classifier scratch so a worker can share
-// one workspace between its burst path and any per-packet fallback.
-func (bs *BurstScratch) Clf() *classifier.Scratch { return &bs.clf }
-
-// AdmitBatch runs admission control for a burst of independent
-// arrivals — each carrying its own traffic matrix — against one model
-// snapshot, writing outcomes into dst (grown when too small). The
-// decisions and the classifier-side telemetry are exactly DecideBatch;
-// the audit ring gets one record per decision in order, and the
-// admission-latency histogram, sampled 1-in-16 as on the per-packet
-// path, observes the per-decision average of the batch. A nil bs
-// allocates locally.
-func (mb *Middlebox) AdmitBatch(id CellID, arrivals []excr.Arrival, dst []Outcome, bs *BurstScratch) ([]Outcome, error) {
-	cell, ok := mb.cell(id)
-	if !ok {
-		return dst, fmt.Errorf("%w: %q", ErrUnknownCell, id)
-	}
-	n := len(arrivals)
-	if cap(dst) < n {
-		dst = make([]Outcome, n)
-	}
-	dst = dst[:n]
-	if n == 0 {
-		return dst, nil
-	}
-	if bs == nil {
-		bs = &BurstScratch{}
-	}
-	var startOff time.Duration
-	sampled := false
-	if mb.obs != nil {
-		if sampled = mb.obs.ring.Seq()&mb.obs.latMask == 0; sampled {
-			startOff = time.Since(mb.obs.epoch)
-		}
-	}
-	bs.dec = cell.Classifier.DecideBatch(bs.dec[:0], arrivals, &bs.clf)
-	var endOff time.Duration
-	if mb.obs != nil {
-		endOff = time.Since(mb.obs.epoch)
-		if sampled {
-			mb.obs.admitSeconds.Observe((endOff - startOff).Seconds() / float64(n))
-		}
-	}
-	for i, d := range bs.dec {
-		out := Outcome{Cell: id, Decision: d, Verdict: mb.verdict(d)}
-		dst[i] = out
-		if mb.obs != nil {
-			mb.recordOutcome(cell, arrivals[i], out, endOff)
-		} else if mb.flight != nil {
-			mb.recordFlight(cell, arrivals[i], out, 0, 0)
-		}
-	}
-	return dst, nil
-}
-
 // AdmitBurst runs admission control for a burst of sequential
 // candidates from ONE cell's ingest path, reproducing the per-packet
 // matrix dynamics: candidate k's decision conditions on base plus
 // every earlier candidate in the burst that was admitted (and is
 // inside the space — the same rule TrackAdmitted applies). base is the
 // admitted-traffic matrix at burst start; the caller applies
-// TrackAdmitted for the admitted outcomes afterwards, exactly as after
-// per-packet Admit.
+// TrackAdmitted for the admitted outcomes afterwards. This is the
+// admission primitive: single-arrival Admit is a burst of one, which
+// runs one pass and none of the speculation below.
 //
 // The sequential dependency is resolved without falling back to scalar
 // scoring by an adaptive-assumption cascade: each pass scores the
@@ -167,7 +112,10 @@ func (mb *Middlebox) AdmitBatch(id CellID, arrivals []excr.Arrival, dst []Outcom
 // committed decision was actually scored on, the 1-in-16-sampled
 // latency histogram (observing the burst's per-decision average), and
 // the decision span on traced candidates. Speculative passes record
-// nothing.
+// nothing. An untraced, unsampled burst reads the clock once (the
+// audit stamp) and allocates only the assumed matrices of candidates
+// after the first, so a burst of one is allocation-free. A nil bs
+// allocates locally.
 func (mb *Middlebox) AdmitBurst(id CellID, base excr.Matrix, cands []BurstCandidate, dst []Outcome, bs *BurstScratch) ([]Outcome, error) {
 	cell, ok := mb.cell(id)
 	if !ok {
@@ -184,12 +132,21 @@ func (mb *Middlebox) AdmitBurst(id CellID, base excr.Matrix, cands []BurstCandid
 	if bs == nil {
 		bs = &BurstScratch{}
 	}
-	var startOff time.Duration
-	sampled := false
-	if mb.obs != nil {
-		if sampled = mb.obs.ring.Seq()&mb.obs.latMask == 0; sampled {
-			startOff = time.Since(mb.obs.epoch)
+	// The burst is clocked when the 1-in-N latency sample fires (keyed
+	// off the audit ring's sequence, which advances once per admission)
+	// or a candidate is traced, whose decision span carries the
+	// per-decision share.
+	traced := false
+	for _, c := range cands {
+		if c.Trace != nil {
+			traced = true
+			break
 		}
+	}
+	sampled := mb.obs != nil && mb.obs.ring.Seq()&mb.obs.latMask == 0
+	var startOff time.Duration
+	if sampled || traced {
+		startOff = time.Since(epoch)
 	}
 	space := mb.Space
 	dim := space.Dim()
@@ -198,7 +155,7 @@ func (mb *Middlebox) AdmitBurst(id CellID, base excr.Matrix, cands []BurstCandid
 		bs.cum = make([]int, dim)
 	}
 	counts, cum := bs.counts[:dim], bs.cum[:dim]
-	copy(counts, base.Counts())
+	base.CopyCounts(counts)
 	if cap(bs.final) < n {
 		bs.final = make([]classifier.Decision, n)
 		bs.finalArr = make([]excr.Arrival, n)
@@ -224,11 +181,16 @@ func (mb *Middlebox) AdmitBurst(id CellID, base excr.Matrix, cands []BurstCandid
 		arrivals := bs.arrivals[:m]
 		if asm {
 			// Assume every window candidate admits: candidate k sees
-			// base + committed admits + assumed admits of 0..k-1.
+			// base + committed admits + assumed admits of 0..k-1 — for
+			// the burst's first candidate that is base itself, uncopied.
 			copy(cum, counts)
 			for k := 0; k < m; k++ {
 				c := cands[committed+k]
-				arrivals[k] = excr.Arrival{Matrix: excr.MatrixFromCounts(space, cum), Class: c.Class, Level: c.Level}
+				mat := base
+				if committed+k > 0 {
+					mat = excr.MatrixFromCounts(space, cum)
+				}
+				arrivals[k] = excr.Arrival{Matrix: mat, Class: c.Class, Level: c.Level}
 				if inSpace(c) {
 					cum[space.CellIndex(c.Class, c.Level)]++
 				}
@@ -267,32 +229,23 @@ func (mb *Middlebox) AdmitBurst(id CellID, base excr.Matrix, cands []BurstCandid
 		asm = nextAsm
 	}
 
-	var endOff time.Duration
-	var perDec time.Duration
-	if mb.obs != nil {
-		endOff = time.Since(mb.obs.epoch)
-		if sampled {
-			mb.obs.admitSeconds.Observe((endOff - startOff).Seconds() / float64(n))
-		}
+	var endOff, perDec time.Duration
+	if mb.obs != nil || traced {
+		endOff = time.Since(epoch)
+	}
+	if sampled {
+		mb.obs.admitSeconds.Observe((endOff - startOff).Seconds() / float64(n))
+	}
+	if traced {
 		perDec = (endOff - startOff) / time.Duration(n)
 	}
-	var nowNanos int64
-	for _, c := range cands {
-		if c.Trace != nil {
-			nowNanos = time.Now().UnixNano()
-			break
-		}
-	}
+	nowNanos := epochNanos + int64(endOff)
 	for g := 0; g < n; g++ {
 		d := final[g]
 		out := Outcome{Cell: id, Decision: d, Verdict: mb.verdict(d)}
 		dst[g] = out
 		cell.Classifier.RecordDecision(d, bad[g])
-		if mb.obs != nil {
-			mb.recordOutcome(cell, finalArr[g], out, endOff)
-		} else if mb.flight != nil {
-			mb.recordFlight(cell, finalArr[g], out, 0, 0)
-		}
+		mb.recordOutcome(cell, finalArr[g], out, endOff)
 		if ft := cands[g].Trace; ft != nil {
 			ft.Add(DecisionSpan(nowNanos, perDec.Nanoseconds(), out))
 		}

@@ -1,7 +1,6 @@
 package exboxcore
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -23,9 +22,8 @@ import (
 //
 // BenchmarkAdmitParallel exercises the real architecture: Admit is a
 // lock-free read of the cell's published model snapshot, so throughput
-// scales with cores. BenchmarkAdmitGlobalLock reproduces the pre-
-// refactor architecture — one mutex across the whole per-decision path
-// — as the baseline the parallel numbers are compared against.
+// scales with cores (the pre-refactor global-lock comparison is frozen
+// in BENCH_pr4.json).
 
 func benchMiddlebox(b *testing.B) *Middlebox {
 	b.Helper()
@@ -98,23 +96,6 @@ func BenchmarkAdmitInstrumented(b *testing.B) {
 	})
 }
 
-func BenchmarkAdmitGlobalLock(b *testing.B) {
-	mb := benchMiddlebox(b)
-	probe := benchProbe()
-	var mu sync.Mutex // the old single-pipeline gateway lock
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			mu.Lock()
-			_, err := mb.Admit("ap", probe)
-			mu.Unlock()
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAdmitObserveMixed interleaves admissions with ground-truth
 // observations (deferred retraining), the live gateway's steady state:
 // the admission path must not stall behind training-set updates or
@@ -165,9 +146,11 @@ func BenchmarkAdmitObserveMixed(b *testing.B) {
 }
 
 // BenchmarkAdmitTracedUnsampled is the tracing gate: a tracer is
-// attached but the flow is not sampled (nil FlowTrace), which is the
-// steady-state packet path. It must match BenchmarkAdmitParallel —
-// the nil check is two untaken branches and zero allocations.
+// attached but the flow is not sampled (nil Trace on the candidate),
+// which is the steady-state packet path — a burst of one on the
+// worker's own BurstScratch. It must match BenchmarkAdmitParallel less
+// the scratch pool: the nil checks are untaken branches and zero
+// allocations.
 func BenchmarkAdmitTracedUnsampled(b *testing.B) {
 	mb := benchMiddlebox(b)
 	mb.InstrumentTracing(trace.New(256, 16))
@@ -175,18 +158,21 @@ func BenchmarkAdmitTracedUnsampled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		var s classifier.Scratch
+		var bs BurstScratch
+		var dst []Outcome
+		cand := []BurstCandidate{{Class: probe.Class, Level: probe.Level}}
 		for pb.Next() {
-			if _, err := mb.AdmitTraced("ap", probe, &s, nil); err != nil {
+			var err error
+			if dst, err = mb.AdmitBurst("ap", probe.Matrix, cand, dst, &bs); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkAdmitTracedSampled is the worst case: every admission
-// carries a live FlowTrace, so each decision pays two clock reads and
-// the span append under the trace's mutex. Real deployments sample
+// BenchmarkAdmitTracedSampled is the worst case: every admission is a
+// burst of one carrying a live FlowTrace, so each decision pays two
+// clock reads and the span append under the trace's mutex. Real deployments sample
 // 1-in-16; this bounds the per-sampled-flow overhead.
 func BenchmarkAdmitTracedSampled(b *testing.B) {
 	mb := benchMiddlebox(b)
@@ -197,16 +183,18 @@ func BenchmarkAdmitTracedSampled(b *testing.B) {
 	b.ResetTimer()
 	var id atomic.Uint64
 	b.RunParallel(func(pb *testing.PB) {
-		var s classifier.Scratch
-		var ft *trace.FlowTrace
+		var bs BurstScratch
+		var dst []Outcome
+		cand := []BurstCandidate{{Class: probe.Class, Level: probe.Level}}
 		n := 0
 		for pb.Next() {
 			// A fresh trace every 16 decisions, so the append never
 			// degenerates into the span-cap drop path.
 			if n%16 == 0 {
-				ft = tr.Start(trace.ID(id.Add(1)), "ap", int(excr.Web), 0, "sampled")
+				cand[0].Trace = tr.Start(trace.ID(id.Add(1)), "ap", int(excr.Web), 0, "sampled")
 			}
-			if _, err := mb.AdmitTraced("ap", probe, &s, ft); err != nil {
+			var err error
+			if dst, err = mb.AdmitBurst("ap", probe.Matrix, cand, dst, &bs); err != nil {
 				b.Fatal(err)
 			}
 			n++
@@ -258,7 +246,7 @@ func BenchmarkSelectNetwork(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := mb.SelectNetworkWith(cands, &s); err != nil {
+		if _, _, err := mb.SelectNetwork(cands, &s, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -303,9 +291,8 @@ func BenchmarkAdmitFlightRecorded(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		var s classifier.Scratch
 		for pb.Next() {
-			if _, err := mb.AdmitWith("ap", probe, &s); err != nil {
+			if _, err := mb.Admit("ap", probe); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -208,9 +208,9 @@ type Middlebox struct {
 
 	// tracer is the flow-lifecycle tracer (nil when tracing is off).
 	// Set once by InstrumentTracing before traffic; callers that thread
-	// their own *trace.FlowTrace through AdmitTraced & co. don't need
-	// it, but it lets the middlebox report sampling state and promote
-	// flows on behalf of callers that only hold the middlebox.
+	// their own *trace.FlowTrace through BurstCandidate.Trace & co.
+	// don't need it, but it lets the middlebox report sampling state and
+	// promote flows on behalf of callers that only hold the middlebox.
 	tracer *trace.Tracer
 
 	// flight is the flight recorder (nil when not wired). Set once by
@@ -225,18 +225,21 @@ type Middlebox struct {
 	sloCfg *SLOConfig
 }
 
+// epoch/epochNanos turn one cheap monotonic read (time.Since) into a
+// wall-clock stamp for audit records and decision spans: on the
+// admission path a full time.Now() costs roughly twice a monotonic
+// read.
+var (
+	epoch      = time.Now()
+	epochNanos = epoch.UnixNano()
+)
+
 // mbObs bundles the middlebox-level metrics: the decision audit ring,
 // the admission-latency histogram, and the workflow counters.
 type mbObs struct {
 	reg          *obs.Registry
 	ring         *obs.AuditRing
 	admitSeconds *obs.Histogram
-
-	// epoch/epochNanos turn one cheap monotonic read (time.Since) into
-	// a wall-clock stamp for audit records: on this path a full
-	// time.Now() costs roughly twice a monotonic read.
-	epoch      time.Time
-	epochNanos int64
 
 	// latMask is the admission-latency sampling mask: a decision is
 	// timed when ring.Seq()&latMask == 0, i.e. 1 in latMask+1
@@ -283,13 +286,10 @@ func (mb *Middlebox) Instrument(reg *obs.Registry, auditSize int) {
 	if mb.obs == nil || mb.obs.reg != reg {
 		ring := obs.NewAuditRing(auditSize)
 		reg.SetRing(ring)
-		epoch := time.Now()
 		mb.obs = &mbObs{
-			reg:        reg,
-			ring:       ring,
-			epoch:      epoch,
-			epochNanos: epoch.UnixNano(),
-			latMask:    15,
+			reg:     reg,
+			ring:    ring,
+			latMask: 15,
 			// 100ns .. ~1.7s: admission is a lock-free model read, so the
 			// low end of the range is where the mass should sit.
 			admitSeconds:    reg.Histogram("exbox_admit_seconds", obs.ExpBuckets(1e-7, 4, 12)),
@@ -522,66 +522,25 @@ func (mb *Middlebox) cell(id CellID) (*Cell, bool) {
 // ErrUnknownCell is returned for operations on unregistered cells.
 var ErrUnknownCell = errors.New("exboxcore: unknown cell")
 
+// burstPool backs single-arrival Admit, so callers that don't hold
+// their own BurstScratch still hit the zero-allocation path.
+var burstPool = sync.Pool{New: func() any { return new(BurstScratch) }}
+
 // Admit runs admission control for an arrival on one cell and applies
-// the policy to the classifier's answer. The decision is a lock-free
-// read of the cell's published model, so concurrent admissions scale
-// with GOMAXPROCS.
+// the policy to the classifier's answer. It is AdmitBurst of one
+// candidate on a pooled BurstScratch: the decision is a lock-free read
+// of the cell's published model, so concurrent admissions scale with
+// GOMAXPROCS, and the steady state allocates nothing beyond the audit
+// ring's record.
 func (mb *Middlebox) Admit(id CellID, a excr.Arrival) (Outcome, error) {
-	return mb.AdmitWith(id, a, nil)
-}
-
-// AdmitWith is Admit with caller-owned classifier workspace: packet
-// workers that hold a per-worker classifier.Scratch pass it here so
-// steady-state admission performs no allocation beyond the audit
-// ring's record. A nil scratch uses the classifier's internal pool.
-func (mb *Middlebox) AdmitWith(id CellID, a excr.Arrival, s *classifier.Scratch) (Outcome, error) {
-	return mb.AdmitTraced(id, a, s, nil)
-}
-
-// AdmitTraced is AdmitWith with span emission: when ft is non-nil the
-// decision span (verdict, margin, depth, model version, duration) is
-// appended to the flow's trace. A nil ft — the unsampled common case —
-// costs exactly two untaken branches: no clock read, no allocation, so
-// the zero-allocation admission path is preserved.
-func (mb *Middlebox) AdmitTraced(id CellID, a excr.Arrival, s *classifier.Scratch, ft *trace.FlowTrace) (Outcome, error) {
-	cell, ok := mb.cell(id)
-	if !ok {
-		return Outcome{}, fmt.Errorf("%w: %q", ErrUnknownCell, id)
+	bs := burstPool.Get().(*BurstScratch)
+	var one [1]Outcome
+	dst, err := mb.AdmitBurst(id, a.Matrix, []BurstCandidate{{Class: a.Class, Level: a.Level}}, one[:0], bs)
+	burstPool.Put(bs)
+	if err != nil {
+		return Outcome{}, err
 	}
-	var t0 time.Time
-	if ft != nil {
-		t0 = time.Now()
-	}
-	// Admission latency is sampled 1-in-latMask+1 (default 1-in-16,
-	// keyed off the audit ring's sequence, which advances once per
-	// admission) so the steady-state cost of telemetry is one clock
-	// read, a few atomics, and the ring record's single small
-	// allocation — never a lock.
-	var startOff time.Duration
-	sampled := false
-	if mb.obs != nil {
-		if sampled = mb.obs.ring.Seq()&mb.obs.latMask == 0; sampled {
-			startOff = time.Since(mb.obs.epoch)
-		}
-	}
-	d := cell.Classifier.DecideScratch(a, s)
-	out := Outcome{Cell: id, Decision: d, Verdict: mb.verdict(d)}
-	if mb.obs != nil {
-		endOff := time.Since(mb.obs.epoch)
-		if sampled {
-			mb.obs.admitSeconds.Observe((endOff - startOff).Seconds())
-		}
-		mb.recordOutcome(cell, a, out, endOff)
-	} else if mb.flight != nil {
-		// Flight recording without registry instrumentation: the journal
-		// enqueue alone, preserving the zero-allocation admission path.
-		mb.recordFlight(cell, a, out, 0, 0)
-	}
-	if ft != nil {
-		now := time.Now()
-		ft.Add(DecisionSpan(now.UnixNano(), now.Sub(t0).Nanoseconds(), out))
-	}
-	return out, nil
+	return dst[0], nil
 }
 
 // DecisionSpan builds the trace span for one admission outcome. It is
@@ -612,13 +571,21 @@ func (mb *Middlebox) verdict(d classifier.Decision) Verdict {
 	return Reject
 }
 
-// recordOutcome performs the per-decision telemetry: the cell's
-// verdict counter, the audit-ring record, and — when a flight recorder
-// is wired — the journal record carrying the audit ring's sequence, so
-// exlog can replay verdicts bit-for-bit against the audit trail.
-// Caller has checked mb.obs != nil and provides the monotonic offset
-// for the timestamp.
+// recordOutcome is the one place an Outcome reaches the middlebox's
+// per-decision telemetry: the cell's verdict counter, the audit-ring
+// record, and — when a flight recorder is wired — the journal record
+// carrying the audit ring's sequence, so exlog can replay verdicts
+// bit-for-bit against the audit trail. endOff is the monotonic offset
+// from epoch for the timestamp. On an uninstrumented middlebox only the
+// journal enqueue remains (the recorder stamps the record itself),
+// which keeps that configuration allocation-free.
 func (mb *Middlebox) recordOutcome(cell *Cell, a excr.Arrival, out Outcome, endOff time.Duration) {
+	if mb.obs == nil {
+		if mb.flight != nil {
+			mb.recordFlight(cell, a, out, 0, 0)
+		}
+		return
+	}
 	switch out.Verdict {
 	case Admit:
 		cell.admitN.Inc()
@@ -627,7 +594,7 @@ func (mb *Middlebox) recordOutcome(cell *Cell, a excr.Arrival, out Outcome, endO
 	default:
 		cell.lowpriN.Inc()
 	}
-	stamp := mb.obs.epochNanos + int64(endOff)
+	stamp := epochNanos + int64(endOff)
 	seq := mb.obs.ring.Record(obs.DecisionRecord{
 		UnixNanos: stamp,
 		Cell:      string(out.Cell),
@@ -668,31 +635,10 @@ func (mb *Middlebox) recordFlight(cell *Cell, a excr.Arrival, out Outcome, stamp
 	})
 }
 
-// Observe feeds a ground-truth labeled tuple to one cell's classifier.
-// When the cell defers retraining, crossing a batch boundary kicks the
-// cell's background worker instead of fitting inline.
+// Observe feeds a ground-truth labeled tuple to one cell's classifier:
+// ObserveBatch of one, untraced.
 func (mb *Middlebox) Observe(id CellID, s excr.Sample) error {
-	return mb.ObserveTraced(id, s, nil)
-}
-
-// ObserveTraced is Observe with span emission: the ground-truth label
-// fed back for the flow is appended to its trace, closing the loop
-// between what the classifier predicted and what the flow experienced.
-func (mb *Middlebox) ObserveTraced(id CellID, s excr.Sample, ft *trace.FlowTrace) error {
-	cell, ok := mb.cell(id)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownCell, id)
-	}
-	cell.Classifier.Observe(s)
-	cell.kickRetrain()
-	if ft != nil {
-		note := "label -1"
-		if s.Label == 1 {
-			note = "label +1"
-		}
-		ft.Add(trace.Span{Kind: trace.KindObserve, UnixNanos: time.Now().UnixNano(), Note: note})
-	}
-	return nil
+	return mb.ObserveBatch(id, []excr.Sample{s}, nil)
 }
 
 // Candidate pairs a cell with the arrival as that cell would see it
@@ -713,50 +659,23 @@ type Candidate struct {
 //
 // The boolean result is false when no candidate admits the flow; the
 // returned Outcome is then the least-bad candidate under the policy.
-func (mb *Middlebox) SelectNetwork(cands []Candidate) (Outcome, bool, error) {
-	return mb.SelectNetworkWith(cands, nil)
-}
-
-// SelectNetworkTraced is SelectNetworkWith with span emission: one
-// Select span summarizing the fan-out (how many candidates, which cell
-// won — or that none admitted) is appended to the flow's trace.
-func (mb *Middlebox) SelectNetworkTraced(cands []Candidate, s *classifier.Scratch, ft *trace.FlowTrace) (Outcome, bool, error) {
+//
+// Candidates are grouped by cell and each group is scored with one
+// DecideBatch call, so every candidate of a cell sees one consistent
+// model snapshot. Per-candidate telemetry (verdict counters,
+// audit-ring records) is preserved; the 1-in-16 admission latency
+// sample is not taken here, as selection has its own counters. s is
+// optional caller-owned classifier workspace (nil uses the
+// classifier's pool); ft, when non-nil, receives one Select span
+// summarizing the fan-out — how many candidates, which cell won, or
+// that none admitted.
+func (mb *Middlebox) SelectNetwork(cands []Candidate, s *classifier.Scratch, ft *trace.FlowTrace) (Outcome, bool, error) {
+	if len(cands) == 0 {
+		return Outcome{}, false, errors.New("exboxcore: no candidates")
+	}
 	var t0 time.Time
 	if ft != nil {
 		t0 = time.Now()
-	}
-	out, ok, err := mb.SelectNetworkWith(cands, s)
-	if ft != nil && err == nil {
-		now := time.Now()
-		sp := trace.Span{
-			Kind:      trace.KindSelect,
-			UnixNanos: now.UnixNano(),
-			DurNanos:  now.Sub(t0).Nanoseconds(),
-			Margin:    out.Decision.Margin,
-			Depth:     out.Decision.Depth,
-			Model:     out.Decision.Model,
-			Note:      fmt.Sprintf("%d candidates", len(cands)),
-		}
-		if ok {
-			sp.Verdict = "cell:" + string(out.Cell)
-		} else {
-			sp.Verdict = "no-admitting-cell"
-		}
-		ft.Add(sp)
-	}
-	return out, ok, err
-}
-
-// SelectNetworkWith is SelectNetwork with caller-owned classifier
-// workspace. Candidates are grouped by cell and each group is scored
-// with one DecideBatch call — a single pass over that cell's SV slab
-// and a single consistent model snapshot per cell — instead of one
-// scalar decision per candidate. Per-candidate telemetry (verdict
-// counters, audit-ring records) is preserved; the 1-in-16 admission
-// latency sample is not taken here, as selection has its own counters.
-func (mb *Middlebox) SelectNetworkWith(cands []Candidate, s *classifier.Scratch) (Outcome, bool, error) {
-	if len(cands) == 0 {
-		return Outcome{}, false, errors.New("exboxcore: no candidates")
 	}
 	if mb.obs != nil {
 		mb.obs.selections.Inc()
@@ -786,13 +705,11 @@ func (mb *Middlebox) SelectNetworkWith(cands []Candidate, s *classifier.Scratch)
 		decisions = cell.Classifier.DecideBatch(decisions[:0], arrivals, s)
 		var endOff time.Duration
 		if mb.obs != nil {
-			endOff = time.Since(mb.obs.epoch)
+			endOff = time.Since(epoch)
 		}
 		for k, d := range decisions {
 			out := Outcome{Cell: sorted[i].Cell, Decision: d, Verdict: mb.verdict(d)}
-			if mb.obs != nil {
-				mb.recordOutcome(cell, arrivals[k], out, endOff)
-			}
+			mb.recordOutcome(cell, arrivals[k], out, endOff)
 			admits := out.Verdict == Admit
 			switch {
 			case admits && (!bestOK || out.Decision.Depth > best.Decision.Depth):
@@ -805,6 +722,24 @@ func (mb *Middlebox) SelectNetworkWith(cands []Candidate, s *classifier.Scratch)
 	}
 	if bestOK && mb.obs != nil {
 		mb.obs.selectionAdmits.Inc()
+	}
+	if ft != nil {
+		now := time.Now()
+		sp := trace.Span{
+			Kind:      trace.KindSelect,
+			UnixNanos: now.UnixNano(),
+			DurNanos:  now.Sub(t0).Nanoseconds(),
+			Margin:    best.Decision.Margin,
+			Depth:     best.Decision.Depth,
+			Model:     best.Decision.Model,
+			Note:      fmt.Sprintf("%d candidates", len(cands)),
+		}
+		if bestOK {
+			sp.Verdict = "cell:" + string(best.Cell)
+		} else {
+			sp.Verdict = "no-admitting-cell"
+		}
+		ft.Add(sp)
 	}
 	return best, bestOK, nil
 }
@@ -821,24 +756,22 @@ type ActiveFlow struct {
 	Trace *trace.FlowTrace
 }
 
-// Reevaluate implements Section 4.3: for each admitted flow, rebuild
+// ReevaluateWith implements Section 4.3: for each admitted flow, rebuild
 // the X tuple it would present if it arrived now (the current matrix
 // minus the flow itself) and reclassify. Flows whose classification
 // turned negative are returned for offload or discontinuation.
 //
 // current must be the cell's present traffic matrix including all the
 // given flows.
-func (mb *Middlebox) Reevaluate(id CellID, current excr.Matrix, active []ActiveFlow) ([]ActiveFlow, error) {
-	return mb.ReevaluateWith(id, current, active, nil)
-}
-
-// ReevaluateWith is Reevaluate with caller-owned classifier workspace.
+//
 // Flows sharing a matrix cell present the exact same re-arrival tuple
 // (current minus one flow of that class and level), so the sweep
 // classifies each distinct (class, level) once — at most Space.Dim()
 // decisions however many flows are active — and the whole set is
 // scored with one DecideBatch call against a single model snapshot,
-// giving every flow in the sweep a consistent view of the boundary.
+// giving every flow in the sweep a consistent view of the boundary. s
+// is optional caller-owned classifier workspace (nil uses the
+// classifier's pool).
 func (mb *Middlebox) ReevaluateWith(id CellID, current excr.Matrix, active []ActiveFlow, s *classifier.Scratch) ([]ActiveFlow, error) {
 	cell, ok := mb.cell(id)
 	if !ok {
@@ -909,42 +842,6 @@ func (mb *Middlebox) ReevaluateWith(id CellID, current excr.Matrix, active []Act
 		cell.sloBadN.Add(int64(len(evict)))
 	}
 	return evict, nil
-}
-
-// CellLoad is one cell's present state for a middlebox-wide
-// re-evaluation sweep: its current traffic matrix (including all the
-// listed flows) and the admitted flows to re-check.
-type CellLoad struct {
-	Cell   CellID
-	Matrix excr.Matrix
-	Active []ActiveFlow
-}
-
-// ReevaluateAll runs the Section 4.3 sweep across many cells at once,
-// fanning one goroutine per cell — cells share nothing on the decision
-// path, so the sweeps proceed in parallel. It returns the evictions
-// per cell (cells whose sweep failed are absent) joined with any
-// per-cell errors.
-func (mb *Middlebox) ReevaluateAll(loads []CellLoad) (map[CellID][]ActiveFlow, error) {
-	evicts := make([][]ActiveFlow, len(loads))
-	errs := make([]error, len(loads))
-	var wg sync.WaitGroup
-	for i := range loads {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var s classifier.Scratch
-			evicts[i], errs[i] = mb.ReevaluateWith(loads[i].Cell, loads[i].Matrix, loads[i].Active, &s)
-		}(i)
-	}
-	wg.Wait()
-	out := make(map[CellID][]ActiveFlow, len(loads))
-	for i, l := range loads {
-		if errs[i] == nil {
-			out[l.Cell] = evicts[i]
-		}
-	}
-	return out, errors.Join(errs...)
 }
 
 // EstimateQoE exposes the network-side QoE estimate for a flow when an

@@ -101,7 +101,7 @@ func TestAdmitUnknownCell(t *testing.T) {
 	if err := mb.Observe("ghost", excr.Sample{Arrival: excr.Arrival{Matrix: excr.NewMatrix(excr.DefaultSpace)}, Label: 1}); !errors.Is(err, ErrUnknownCell) {
 		t.Fatal("Observe should reject unknown cell")
 	}
-	if _, err := mb.Reevaluate("ghost", excr.NewMatrix(excr.DefaultSpace), nil); !errors.Is(err, ErrUnknownCell) {
+	if _, err := mb.ReevaluateWith("ghost", excr.NewMatrix(excr.DefaultSpace), nil, nil); !errors.Is(err, ErrUnknownCell) {
 		t.Fatal("Reevaluate should reject unknown cell")
 	}
 }
@@ -125,7 +125,7 @@ func TestSelectNetworkPrefersEmptierCell(t *testing.T) {
 	out, ok, err := mb.SelectNetwork([]Candidate{
 		{Cell: "wifi", Arrival: arr(loadedWiFi)},
 		{Cell: "lte", Arrival: arr(lightLTE)},
-	})
+	}, nil, nil)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -142,7 +142,7 @@ func TestSelectNetworkNoAdmitter(t *testing.T) {
 		Set(excr.Web, 0, 15).Set(excr.Streaming, 0, 18).Set(excr.Conferencing, 0, 15)
 	out, ok, err := mb.SelectNetwork([]Candidate{
 		{Cell: "wifi", Arrival: excr.Arrival{Matrix: overload, Class: excr.Streaming}},
-	})
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSelectNetworkNoAdmitter(t *testing.T) {
 	if out.Verdict != LowPriority {
 		t.Fatalf("fallback verdict = %v, want low-priority under Deprioritize", out.Verdict)
 	}
-	if _, _, err := mb.SelectNetwork(nil); err == nil {
+	if _, _, err := mb.SelectNetwork(nil, nil, nil); err == nil {
 		t.Fatal("empty candidates should error")
 	}
 }
@@ -167,7 +167,7 @@ func TestReevaluateEvictsAfterChange(t *testing.T) {
 	active := []ActiveFlow{
 		{ID: 1, Class: excr.Web}, {ID: 2, Class: excr.Streaming},
 	}
-	evict, err := mb.Reevaluate("ap", m, active)
+	evict, err := mb.ReevaluateWith("ap", m, active, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestReevaluateEvictsAfterChange(t *testing.T) {
 	activeOver := []ActiveFlow{
 		{ID: 1, Class: excr.Streaming}, {ID: 2, Class: excr.Web},
 	}
-	evict, err = mb.Reevaluate("ap", over, activeOver)
+	evict, err = mb.ReevaluateWith("ap", over, activeOver, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestReevaluateValidatesPresence(t *testing.T) {
 	mb := New(excr.DefaultSpace, Discontinue)
 	mb.AddCell("ap", classifier.DefaultConfig())
 	empty := excr.NewMatrix(excr.DefaultSpace)
-	_, err := mb.Reevaluate("ap", empty, []ActiveFlow{{ID: 1, Class: excr.Web}})
+	_, err := mb.ReevaluateWith("ap", empty, []ActiveFlow{{ID: 1, Class: excr.Web}}, nil)
 	if err == nil {
 		t.Fatal("flow absent from matrix should error")
 	}
@@ -232,10 +232,10 @@ func TestSelectNetworkDuplicateCellCandidates(t *testing.T) {
 	}
 	wantLight := mb.Cell("wifi").Classifier.Decide(arr(light))
 	var s classifier.Scratch
-	out, ok, err := mb.SelectNetworkWith([]Candidate{
+	out, ok, err := mb.SelectNetwork([]Candidate{
 		{Cell: "wifi", Arrival: arr(loaded)},
 		{Cell: "wifi", Arrival: arr(light)},
-	}, &s)
+	}, &s, nil)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -243,7 +243,7 @@ func TestSelectNetworkDuplicateCellCandidates(t *testing.T) {
 		t.Fatalf("selected %+v, want the light placement (depth %v)", out, wantLight.Depth)
 	}
 
-	if _, _, err := mb.SelectNetwork([]Candidate{{Cell: "nope", Arrival: arr(light)}}); !errors.Is(err, ErrUnknownCell) {
+	if _, _, err := mb.SelectNetwork([]Candidate{{Cell: "nope", Arrival: arr(light)}}, nil, nil); !errors.Is(err, ErrUnknownCell) {
 		t.Fatalf("unknown cell error = %v", err)
 	}
 }
@@ -283,46 +283,5 @@ func TestReevaluateDedupMatchesScalar(t *testing.T) {
 		if got[id] != w {
 			t.Fatalf("flow %d evicted=%v, scalar path says %v (evict=%v)", id, got[id], w, evict)
 		}
-	}
-}
-
-// TestReevaluateAll fans the sweep across cells and joins per-cell
-// failures without dropping the healthy cells' results.
-func TestReevaluateAll(t *testing.T) {
-	mb := New(excr.DefaultSpace, Discontinue)
-	mb.AddCell("wifi", classifier.DefaultConfig())
-	mb.AddCell("lte", classifier.DefaultConfig())
-	trainCell(t, mb, "wifi", wifiOracle(), 2)
-	trainCell(t, mb, "lte", lteOracle(), 3)
-
-	comfy := excr.NewMatrix(excr.DefaultSpace).Set(excr.Web, 0, 3).Set(excr.Streaming, 0, 2)
-	over := excr.NewMatrix(excr.DefaultSpace).
-		Set(excr.Web, 0, 15).Set(excr.Streaming, 0, 19).Set(excr.Conferencing, 0, 14)
-	loads := []CellLoad{
-		{Cell: "wifi", Matrix: over, Active: []ActiveFlow{{ID: 1, Class: excr.Streaming}, {ID: 2, Class: excr.Web}}},
-		{Cell: "lte", Matrix: comfy, Active: []ActiveFlow{{ID: 3, Class: excr.Web}}},
-	}
-	evicts, err := mb.ReevaluateAll(loads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evicts["wifi"]) == 0 {
-		t.Fatal("overloaded wifi should evict at least one flow")
-	}
-	if len(evicts["lte"]) != 0 {
-		t.Fatalf("comfortable lte should evict nothing, got %v", evicts["lte"])
-	}
-
-	// One failing cell: its error is joined, the rest still report.
-	loads = append(loads, CellLoad{Cell: "nope", Matrix: comfy})
-	evicts, err = mb.ReevaluateAll(loads)
-	if !errors.Is(err, ErrUnknownCell) {
-		t.Fatalf("joined error = %v, want ErrUnknownCell", err)
-	}
-	if _, ok := evicts["nope"]; ok {
-		t.Fatal("failed cell must be absent from the result map")
-	}
-	if len(evicts["wifi"]) == 0 {
-		t.Fatal("healthy cells must still report despite a failing one")
 	}
 }

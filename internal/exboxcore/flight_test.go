@@ -51,17 +51,7 @@ func TestAdmitFlightRecordedZeroAlloc(t *testing.T) {
 		Matrix: excr.NewMatrix(excr.DefaultSpace).Set(excr.Streaming, 0, 12),
 		Class:  excr.Web,
 	}
-	var s classifier.Scratch
-	if _, err := mb.AdmitWith("ap", probe, &s); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		if _, err := mb.AdmitWith("ap", probe, &s); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("flight-recorded Admit allocates %v/op, want 0", n)
-	}
+	assertAdmitZeroAlloc(t, mb, probe)
 	if fr.Depth() == 0 && fr.Drops() == 0 {
 		t.Fatal("no admission reached the flight ring")
 	}
@@ -85,7 +75,7 @@ func TestFlightMatchesAuditRing(t *testing.T) {
 	trainCell(t, mb, "ap", wifiOracle(), 1)
 
 	// A spread of distinct arrivals across classes and loads, through
-	// all three entry points (scalar, batch, burst).
+	// all three recording entry points (single, selection, burst).
 	rng := mathx.NewRand(9)
 	events := traffic.Arrivals(traffic.Random(rng, 20, 10, 0, excr.DefaultSpace), nil)
 	var arrivals []excr.Arrival
@@ -97,7 +87,11 @@ func TestFlightMatchesAuditRing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := mb.AdmitBatch("ap", arrivals[10:20], nil, nil); err != nil {
+	var sel []Candidate
+	for _, a := range arrivals[10:20] {
+		sel = append(sel, Candidate{Cell: "ap", Arrival: a})
+	}
+	if _, _, err := mb.SelectNetwork(sel, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var cands []BurstCandidate

@@ -75,7 +75,7 @@ func TestMiddleboxConcurrentStress(t *testing.T) {
 			{ID: 1, Class: excr.Web}, {ID: 2, Class: excr.Streaming},
 		}
 		for i := 0; i < 100; i++ {
-			if _, err := mb.Reevaluate("ap", m, active); err != nil {
+			if _, err := mb.ReevaluateWith("ap", m, active, nil); err != nil {
 				errc <- err
 				return
 			}

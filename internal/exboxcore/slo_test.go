@@ -122,7 +122,7 @@ func TestReevaluateFeedsSLO(t *testing.T) {
 		{ID: 1, Class: excr.Web, Level: 0},
 		{ID: 2, Class: excr.Web, Level: 0},
 	}
-	evict, err := mb.Reevaluate("ap", m, active)
+	evict, err := mb.ReevaluateWith("ap", m, active, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

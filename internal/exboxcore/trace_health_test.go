@@ -81,11 +81,13 @@ func TestAdmitTracedEmitsDecisionSpan(t *testing.T) {
 	}
 
 	ft := tr.Start(trace.ID(1), "ap0", int(excr.Web), 0, "sampled")
-	out, err := mb.AdmitTraced("ap0", lightArrival(), nil, ft)
+	a := lightArrival()
+	outs, err := mb.AdmitBurst("ap0", a.Matrix, []BurstCandidate{{Class: a.Class, Level: a.Level, Trace: ft}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mb.ObserveTraced("ap0", excr.Sample{Arrival: lightArrival(), Label: 1}, ft); err != nil {
+	out := outs[0]
+	if err := mb.ObserveBatch("ap0", []excr.Sample{{Arrival: a, Label: 1}}, []*trace.FlowTrace{ft}); err != nil {
 		t.Fatal(err)
 	}
 	ft.Close()
@@ -104,7 +106,7 @@ func TestAdmitTracedEmitsDecisionSpan(t *testing.T) {
 	if d.Model == 0 || d.Model != mb.Cell("ap0").Classifier.ModelVersion() {
 		t.Fatalf("decision span model version = %d, want %d", d.Model, mb.Cell("ap0").Classifier.ModelVersion())
 	}
-	if d.UnixNanos == 0 || d.Bootstrap {
+	if d.UnixNanos == 0 || d.DurNanos <= 0 || d.Bootstrap {
 		t.Fatalf("decision span not stamped: %+v", d)
 	}
 	if v.Verdict != out.Verdict.String() {
@@ -126,7 +128,7 @@ func TestSelectNetworkTracedSpan(t *testing.T) {
 	mb.InstrumentTracing(tr)
 
 	ft := tr.Start(trace.ID(2), "", int(excr.Web), 0, "sampled")
-	out, ok, err := mb.SelectNetworkTraced([]Candidate{
+	out, ok, err := mb.SelectNetwork([]Candidate{
 		{Cell: "wifi", Arrival: lightArrival()},
 		{Cell: "lte", Arrival: lightArrival()},
 	}, nil, ft)
@@ -143,7 +145,7 @@ func TestSelectNetworkTracedSpan(t *testing.T) {
 
 	// No admitter: the span must say so instead of naming a cell.
 	ft2 := tr.Start(trace.ID(3), "", int(excr.Streaming), 0, "sampled")
-	_, ok, err = mb.SelectNetworkTraced([]Candidate{
+	_, ok, err = mb.SelectNetwork([]Candidate{
 		{Cell: "wifi", Arrival: overloadArrival()},
 	}, nil, ft2)
 	if err != nil || ok {
@@ -169,7 +171,7 @@ func TestReevaluateTracedSpans(t *testing.T) {
 	comfy := excr.NewMatrix(excr.DefaultSpace).Set(excr.Web, 0, 3).Set(excr.Streaming, 0, 2)
 	active := []ActiveFlow{{ID: 1, Class: excr.Web, Trace: ft}, {ID: 2, Class: excr.Streaming}}
 	for i := 0; i < 3; i++ {
-		evict, err := mb.Reevaluate("ap", comfy, active)
+		evict, err := mb.ReevaluateWith("ap", comfy, active, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +189,7 @@ func TestReevaluateTracedSpans(t *testing.T) {
 
 	over := excr.NewMatrix(excr.DefaultSpace).
 		Set(excr.Web, 0, 15).Set(excr.Streaming, 0, 19).Set(excr.Conferencing, 0, 14)
-	evict, err := mb.Reevaluate("ap", over, []ActiveFlow{{ID: 3, Class: excr.Streaming, Trace: ft}})
+	evict, err := mb.ReevaluateWith("ap", over, []ActiveFlow{{ID: 3, Class: excr.Streaming, Trace: ft}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +206,7 @@ func TestReevaluateTracedSpans(t *testing.T) {
 }
 
 // TestAdmitTracedUnsampledZeroAlloc pins the acceptance criterion: the
-// unsampled admission path (nil FlowTrace) on a tracing-enabled
+// unsampled admission path (no FlowTrace) on a tracing-enabled
 // middlebox allocates nothing. The middlebox is deliberately left
 // without a metrics registry — the instrumented path's audit-ring
 // record is a separate, accounted allocation.
@@ -213,19 +215,7 @@ func TestAdmitTracedUnsampledZeroAlloc(t *testing.T) {
 	mb.AddCell("ap", classifier.DefaultConfig())
 	trainCell(t, mb, "ap", wifiOracle(), 7)
 	mb.InstrumentTracing(trace.New(64, 16))
-	a := lightArrival()
-	var s classifier.Scratch
-	if _, err := mb.AdmitTraced("ap", a, &s, nil); err != nil {
-		t.Fatal(err)
-	}
-	var sink float64
-	if got := testing.AllocsPerRun(200, func() {
-		out, _ := mb.AdmitTraced("ap", a, &s, nil)
-		sink += out.Decision.Margin
-	}); got != 0 {
-		t.Errorf("unsampled AdmitTraced: %v allocs/op, want 0", got)
-	}
-	_ = sink
+	assertAdmitZeroAlloc(t, mb, lightArrival())
 }
 
 // TestHealthVerdicts drives the report through its states: a fresh

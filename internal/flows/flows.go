@@ -193,33 +193,15 @@ func (t *Table) Observe(k Key, p PacketMeta) *Flow {
 	return f
 }
 
-// ObserveRun is Observe with a same-flow hint: when hint is the flow
-// record k resolves to (its canonical key equals k exactly — a reverse
-// hit never matches, so the direction flip stays with Observe), the
-// map lookup is skipped entirely. UDP traffic arrives in per-flow
-// packet trains, so a burst pipeline that passes the previous packet's
-// flow as the hint pays one lookup per train instead of one per
-// packet. Only sound while the caller has held the shard's lock
-// continuously since hint was resolved: across a lock release the
-// pointer may name a flow the sweep has already expired — which is
-// exactly why the per-packet path, unlocking between packets, can
-// never take this shortcut.
-func (t *Table) ObserveRun(k Key, p PacketMeta, hint *Flow) *Flow {
-	if hint != nil && hint.Key == k {
-		t.observeInto(hint, p)
-		return hint
-	}
-	return t.Observe(k, p)
-}
-
 // ObserveOwned folds one packet into f without any lookup or check:
 // the caller asserts that f is the live record the packet's key
 // resolves to. A gateway with interned per-client state can prove this
 // by pointer identity — the same client entry implies the same key —
-// for consecutive packets of a train, which is the byte-by-byte
-// comparison ObserveRun performs, for free. The soundness requirement
-// is the same as ObserveRun's: the shard lock must have been held
-// continuously since f was resolved.
+// for consecutive packets of a train (UDP traffic arrives in per-flow
+// packet trains, so a burst pipeline pays one lookup per train instead
+// of one per packet). Only sound while the caller has held the shard's
+// lock continuously since f was resolved: across a lock release the
+// pointer may name a flow the sweep has already expired.
 func (t *Table) ObserveOwned(f *Flow, p PacketMeta) {
 	t.observeInto(f, p)
 }

@@ -269,50 +269,6 @@ func TestNewTableDefaults(t *testing.T) {
 	}
 }
 
-func TestObserveRunHintFastPath(t *testing.T) {
-	tb := NewTable(3, 60)
-	k := key()
-
-	// No hint: behaves exactly like Observe, creating the flow.
-	f := tb.ObserveRun(k, PacketMeta{Time: 1, Bytes: 100, Up: true}, nil)
-	if f == nil || f.Packets != 1 {
-		t.Fatalf("ObserveRun create: %+v", f)
-	}
-
-	// Matching hint: the same record is updated without a lookup.
-	f2 := tb.ObserveRun(k, PacketMeta{Time: 2, Bytes: 50, Up: true}, f)
-	if f2 != f {
-		t.Fatal("matching hint did not return the hinted flow")
-	}
-	if f.Packets != 2 || f.Bytes != 150 || f.LastSeen != 2 {
-		t.Fatalf("hinted observe misaccounted: %+v", f)
-	}
-
-	// Mismatched hint: falls back to the map and creates the other flow.
-	other := Key{Src: "10.0.0.9", Dst: k.Dst, SrcPort: 999, DstPort: k.DstPort, Proto: k.Proto}
-	g := tb.ObserveRun(other, PacketMeta{Time: 3, Bytes: 10, Up: true}, f)
-	if g == f {
-		t.Fatal("mismatched hint reused the wrong flow")
-	}
-	if g.Packets != 1 || tb.Len() != 2 {
-		t.Fatalf("fallback create wrong: %+v len=%d", g, tb.Len())
-	}
-
-	// Reverse-key packet with the forward flow as hint: the hint must
-	// NOT match (hint.Key equality is exact), so the reverse fold — and
-	// its direction flip — stays with Observe.
-	r := tb.ObserveRun(k.Reverse(), PacketMeta{Time: 4, Bytes: 30, Up: true}, f)
-	if r != f {
-		t.Fatal("reverse packet did not fold into the forward flow")
-	}
-	if f.Packets != 3 {
-		t.Fatalf("reverse fold misaccounted: %+v", f)
-	}
-	if got := f.Head[2]; got.Up {
-		t.Fatalf("reverse fold did not flip Up: %+v", got)
-	}
-}
-
 func TestObserveOwnedMatchesObserve(t *testing.T) {
 	ta, tb := NewTable(3, 60), NewTable(3, 60)
 	k := key()

@@ -64,45 +64,24 @@ var (
 	_ ApproxPredictor = (*svm.Model)(nil)
 )
 
-// The SVM adapters expose the solver's detailed accounting.
-var (
-	_ DetailedLearner     = SVM{}
-	_ WarmDetailedLearner = (*WarmSVM)(nil)
-)
-
 // Learner trains Predictors from labeled rows (labels in {-1, +1}).
-type Learner interface {
-	Train(x [][]float64, y []float64) (Predictor, error)
-	Name() string
-}
-
-// WarmLearner is a Learner whose fits can be seeded from the state of
-// the previous fit. TrainWarm carries one stable key per row so the
-// learner can re-align its internal solver state when rows were
-// reordered, replaced, or evicted between fits: rows whose key was
+//
+// keys and stats are both optional. keys, when non-nil, carries one
+// stable key per row and asks a learner that keeps solver state (the
+// WarmSVM) to seed this fit from the previous one: rows whose key was
 // seen in the previous fit inherit their dual variables, everything
 // else starts cold. The returned bool reports whether a seed was
-// actually used (false on the first fit, after too much churn, or when
-// the implementation decided a cold fit was safer).
-type WarmLearner interface {
-	Learner
-	TrainWarm(x [][]float64, y []float64, keys []string) (Predictor, bool, error)
-}
-
-// DetailedLearner is a Learner whose fits can report the solver's
-// per-phase accounting (svm.SolveStats): kernel/cache/shrink split,
-// iteration counts, warm-vs-cold. The classifier's model-health layer
-// uses it when enabled; learners without solver phases (the decision
-// tree) simply don't implement it.
-type DetailedLearner interface {
-	Learner
-	TrainDetailed(x [][]float64, y []float64, stats *svm.SolveStats) (Predictor, error)
-}
-
-// WarmDetailedLearner is the warm-started analogue of DetailedLearner.
-type WarmDetailedLearner interface {
-	WarmLearner
-	TrainWarmDetailed(x [][]float64, y []float64, keys []string, stats *svm.SolveStats) (Predictor, bool, error)
+// actually used (false on the first fit, after too much churn, when
+// keys is nil, or for a learner with nothing to seed). Nil keys is a
+// cold fit that leaves any kept solver state untouched — what bootstrap
+// cross-validation asks for, since fold fits must not pollute the seed.
+// stats, when non-nil, is overwritten with the solver's per-phase
+// accounting (kernel/cache/shrink split, iteration counts, warm-vs-
+// cold); learners without solver phases (the decision tree) leave it
+// untouched, its Rows still zero.
+type Learner interface {
+	Train(x [][]float64, y []float64, keys []string, stats *svm.SolveStats) (Predictor, bool, error)
+	Name() string
 }
 
 // ErrOneClass is returned by Train when the labels contain a single
@@ -117,29 +96,24 @@ type SVM struct {
 // Name implements Learner.
 func (s SVM) Name() string { return "svm-" + s.Config.Kernel.String() }
 
-// Train implements Learner.
-func (s SVM) Train(x [][]float64, y []float64) (Predictor, error) {
-	return s.TrainDetailed(x, y, nil)
-}
-
-// TrainDetailed implements DetailedLearner.
-func (s SVM) TrainDetailed(x [][]float64, y []float64, stats *svm.SolveStats) (Predictor, error) {
+// Train implements Learner: always a cold fit, keys are ignored.
+func (s SVM) Train(x [][]float64, y []float64, _ []string, stats *svm.SolveStats) (Predictor, bool, error) {
 	m, _, err := svm.SolveDetailed(s.Config, x, y, nil, stats)
 	if errors.Is(err, svm.ErrOneClass) {
-		return nil, ErrOneClass
+		return nil, false, ErrOneClass
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return m, nil
+	return m, false, nil
 }
 
-// WarmSVM adapts internal/svm to the WarmLearner interface: each
-// TrainWarm keeps the fit's solver state (dual variables, threshold,
-// frozen feature standardization) keyed by the caller's per-row keys,
-// and the next TrainWarm seeds from it. A WarmSVM is stateful and must
-// be created per classifier (NewWarmSVM); it is safe for concurrent
-// use, though callers normally serialize fits anyway.
+// WarmSVM is the SVM learner that warm-starts: each keyed Train keeps
+// the fit's solver state (dual variables, threshold, frozen feature
+// standardization) keyed by the caller's per-row keys, and the next
+// keyed Train seeds from it. A WarmSVM is stateful and must be created
+// per classifier (NewWarmSVM); it is safe for concurrent use, though
+// callers normally serialize fits anyway.
 type WarmSVM struct {
 	Config svm.Config
 
@@ -156,20 +130,12 @@ func NewWarmSVM(cfg svm.Config) *WarmSVM { return &WarmSVM{Config: cfg} }
 // technique is the same, only the solver's starting point differs.
 func (s *WarmSVM) Name() string { return "svm-" + s.Config.Kernel.String() }
 
-// Train implements Learner with a cold fit that does not touch the
-// warm state — this is what bootstrap cross-validation calls, and fold
-// fits must not pollute the seed.
-func (s *WarmSVM) Train(x [][]float64, y []float64) (Predictor, error) {
-	return SVM{Config: s.Config}.Train(x, y)
-}
-
-// TrainWarm implements WarmLearner.
-func (s *WarmSVM) TrainWarm(x [][]float64, y []float64, keys []string) (Predictor, bool, error) {
-	return s.TrainWarmDetailed(x, y, keys, nil)
-}
-
-// TrainWarmDetailed implements WarmDetailedLearner.
-func (s *WarmSVM) TrainWarmDetailed(x [][]float64, y []float64, keys []string, stats *svm.SolveStats) (Predictor, bool, error) {
+// Train implements Learner. Nil keys is SVM's cold fit, warm state
+// untouched.
+func (s *WarmSVM) Train(x [][]float64, y []float64, keys []string, stats *svm.SolveStats) (Predictor, bool, error) {
+	if keys == nil {
+		return SVM{Config: s.Config}.Train(x, y, nil, stats)
+	}
 	if len(keys) != len(x) || len(y) != len(x) {
 		return nil, false, errors.New("learner: rows/labels/keys length mismatch")
 	}
@@ -232,16 +198,17 @@ type Tree struct {
 // Name implements Learner.
 func (t Tree) Name() string { return "dtree" }
 
-// Train implements Learner.
-func (t Tree) Train(x [][]float64, y []float64) (Predictor, error) {
+// Train implements Learner; the tree has no solver state to seed and
+// no solver phases to account, so keys and stats are ignored.
+func (t Tree) Train(x [][]float64, y []float64, _ []string, _ *svm.SolveStats) (Predictor, bool, error) {
 	m, err := dtree.Train(t.Config, x, y)
 	if errors.Is(err, dtree.ErrOneClass) {
-		return nil, ErrOneClass
+		return nil, false, ErrOneClass
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return m, nil
+	return m, false, nil
 }
 
 // CrossValidate estimates generalization accuracy of the learner by
@@ -275,7 +242,7 @@ func CrossValidate(l Learner, x [][]float64, y []float64, folds int, rng *rand.R
 				trainY = append(trainY, y[i])
 			}
 		}
-		p, err := l.Train(trainX, trainY)
+		p, _, err := l.Train(trainX, trainY, nil, nil)
 		if errors.Is(err, ErrOneClass) {
 			cls := 1.0
 			if len(trainY) > 0 {

@@ -38,7 +38,7 @@ func learners() []Learner {
 func TestBothLearnersFitLine(t *testing.T) {
 	x, y := lineData(300, 1)
 	for _, l := range learners() {
-		p, err := l.Train(x, y)
+		p, _, err := l.Train(x, y, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name(), err)
 		}
@@ -62,7 +62,7 @@ func TestOneClassMapped(t *testing.T) {
 	x := [][]float64{{1}, {2}, {3}}
 	y := []float64{1, 1, 1}
 	for _, l := range learners() {
-		_, err := l.Train(x, y)
+		_, _, err := l.Train(x, y, nil, nil)
 		if !errors.Is(err, ErrOneClass) {
 			t.Fatalf("%s: err = %v, want learner.ErrOneClass", l.Name(), err)
 		}

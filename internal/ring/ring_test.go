@@ -91,35 +91,38 @@ func TestDrainBurst(t *testing.T) {
 
 // TestConcurrentProducersConsumer is the -race stress test: several
 // producers push disjoint value ranges while the single consumer
-// drains in bursts. Every pushed-and-accepted value must come out
-// exactly once, in per-producer FIFO order, and drops must equal
-// pushes minus pops.
+// drains in bursts. A push the full ring refuses is counted as a drop
+// and retried after a yield, until the producer's whole range has been
+// accepted — so the test exercises the overflow path without assuming
+// anything about when the scheduler runs the consumer (once producers
+// own OS threads, a yield every so often does not get it a CPU before
+// a producer has burned through its range against a full ring). Every
+// value must come out exactly once, in per-producer FIFO order.
 func TestConcurrentProducersConsumer(t *testing.T) {
 	const (
 		producers = 4
 		perProd   = 6000
 	)
 	r := New[int](256)
-	accepted := make([]int64, producers)
+	abort := make(chan struct{}) // releases retrying producers if the consumer fails
+	defer close(abort)
+	drops := make([]int64, producers)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			n := int64(0)
 			for i := 0; i < perProd; i++ {
-				if r.TryPush(p*perProd + i) {
-					n++
-				}
-				// Yield now and then so the consumer gets scheduled even
-				// on GOMAXPROCS=1 — otherwise a producer can run its
-				// whole loop against a full ring and drop everything,
-				// which tests nothing.
-				if i%64 == 0 {
+				for !r.TryPush(p*perProd + i) {
+					drops[p]++
+					select {
+					case <-abort:
+						return
+					default:
+					}
 					runtime.Gosched()
 				}
 			}
-			accepted[p] = n
 		}(p)
 	}
 
@@ -132,7 +135,7 @@ func TestConcurrentProducersConsumer(t *testing.T) {
 	for i := range lastSeen {
 		lastSeen[i] = -1
 	}
-	got := make([]int64, producers)
+	got := make([]int, producers)
 	buf := make([]int, 64)
 	producing := true
 	for producing || r.Depth() > 0 {
@@ -151,14 +154,14 @@ func TestConcurrentProducersConsumer(t *testing.T) {
 			got[p]++
 		}
 	}
+	var dropped int64
 	for p := 0; p < producers; p++ {
-		if got[p] != accepted[p] {
-			t.Errorf("producer %d: consumed %d, accepted %d", p, got[p], accepted[p])
+		if got[p] != perProd {
+			t.Errorf("producer %d: consumed %d of %d accepted values", p, got[p], perProd)
 		}
-		if accepted[p] == 0 {
-			t.Errorf("producer %d: every push dropped — overflow path starved the producer entirely", p)
-		}
+		dropped += drops[p]
 	}
+	t.Logf("%d pushes refused by the full ring and retried", dropped)
 }
 
 // TestOverflowBackpressure fills the ring with no consumer running and

@@ -47,7 +47,10 @@ import (
 // Version is the current snapshot format version. Decode rejects
 // anything else; bumping it is how incompatible layout changes stay
 // restart-safe (an old daemon refuses a new file and cold-starts).
-// v2 appended Config.QuantizeSVs to the model field stream.
+// v2 appended a quantized-slab flag to the model field stream; the
+// int16 slab is gone, so the writer emits the byte as 0 and the reader
+// skips it — the exact slab is what was serialized, and an old
+// quantized snapshot loads as the exact model.
 const Version = 2
 
 // magic identifies a snapshot file.
@@ -100,7 +103,7 @@ func Encode(ps *classifier.PersistState) []byte {
 		w.bool(m.Config.RFF)
 		w.u64(uint64(m.Config.RFFDim))
 		w.f64(m.Config.PruneTol)
-		w.bool(m.Config.QuantizeSVs)
+		w.bool(false) // v2's retired quantized-slab flag
 		w.f64(m.Gamma)
 		w.u32(uint32(m.Dim))
 		w.f64s(m.ScalerMean)
@@ -235,7 +238,7 @@ func Decode(data []byte) (*classifier.PersistState, error) {
 		m.Config.RFF = r.bool()
 		m.Config.RFFDim = r.count()
 		m.Config.PruneTol = r.f64()
-		m.Config.QuantizeSVs = r.bool()
+		_ = r.bool() // v2's retired quantized-slab flag
 		m.Gamma = r.f64()
 		m.Dim = int(r.u32())
 		m.ScalerMean = r.f64s()

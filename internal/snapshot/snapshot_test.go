@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -108,6 +109,55 @@ func TestDecodedDecisionsBitEqual(t *testing.T) {
 			math.Float64bits(da.Margin) != math.Float64bits(db.Margin) ||
 			math.Float64bits(da.Depth) != math.Float64bits(db.Depth) {
 			t.Fatalf("decoded decision diverged: %+v != %+v", da, db)
+		}
+	}
+}
+
+// TestDecodeRetiredQuantFlag is the v2 compatibility pin: a snapshot
+// written by a build that still had the int16 SV slab carries 1 in the
+// model's quantized-slab byte. The slab itself was never serialized —
+// only the exact float64 slab was — so such a file must decode to the
+// exact model and decide bit-equal to it.
+func TestDecodeRetiredQuantFlag(t *testing.T) {
+	for _, rff := range []bool{false, true} { // scoring off the exact slab, and off the RFF tier
+		testDecodeRetiredQuantFlag(t, rff)
+	}
+}
+
+func testDecodeRetiredQuantFlag(t *testing.T, rff bool) {
+	ps := trainedState(t, true, rff)
+	data := Encode(ps)
+	// Offset of the flag in the payload: the classifier scalars, the
+	// space, the training window, then the model block up to PruneTol.
+	perSample := 4*ps.Space.Dim() + 4 + 4 + 8
+	off := headerLen + (8 + 1 + 8 + 8 + 8 + 8 + 8) + (4 + 4) + 4 + len(ps.Samples)*perSample +
+		1 + 4 + 4*8 + 3*8 + 1 + 8 + 8
+	if data[off] != 0 || (data[off-1-8-8] == 1) != rff {
+		t.Fatalf("flag offset %d is off: byte %d, RFF byte %d (layout changed?)", off, data[off], data[off-1-8-8])
+	}
+	data[off] = 1
+	payload := data[headerLen : len(data)-trailerLen]
+	binary.LittleEndian.PutUint32(data[len(data)-trailerLen:], crc32.Checksum(payload, crcTable))
+
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatalf("Decode of a quantized-era snapshot: %v", err)
+	}
+	if !reflect.DeepEqual(ps, got) {
+		t.Fatal("quantized-era snapshot did not decode to the exact-slab state")
+	}
+	cfg := classifier.DefaultConfig()
+	cfg.WarmStart = true
+	exact, old := classifier.New(excr.DefaultSpace, cfg), classifier.New(excr.DefaultSpace, cfg)
+	if err := exact.ImportState(ps); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.ImportState(got); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range traffic.Arrivals(traffic.Random(mathx.NewRand(34), 25, 20, 0, excr.DefaultSpace), nil) {
+		if da, db := exact.Decide(e.Arrival), old.Decide(e.Arrival); da != db {
+			t.Fatalf("quantized-era snapshot decides %+v, exact model %+v", db, da)
 		}
 	}
 }

@@ -73,9 +73,8 @@ func BenchmarkRetrainWarm1k(b *testing.B) { benchRetrain(b, 1000, 20, true) }
 // Inference benchmarks: the per-arrival cost every steady-state ExBox
 // workflow pays. The RBF model is trained on heavily overlapping
 // clouds so it retains well over 200 support vectors — the regime
-// where the contiguous slab beats pointer-chased rows. The *Ref
-// variant runs the pre-refactor scalar path on the same model, so the
-// committed BENCH_pr4.json records before/after on one machine.
+// where the contiguous slab beats pointer-chased rows (the scalar
+// path's before/after on one machine is frozen in BENCH_pr4.json).
 
 func benchDecisionModel(b *testing.B, kernel KernelKind) (*Model, []float64) {
 	b.Helper()
@@ -142,19 +141,8 @@ func BenchmarkDecisionRFF(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkDecisionRBFRef(b *testing.B) {
-	m, row := benchDecisionModel(b, RBF)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += m.decisionScalar(row)
-	}
-	_ = sink
-}
-
-// BenchmarkDecisionBatchRBF scores 16 rows per op in one slab pass —
-// the Reevaluate/SelectNetwork shape. ns/op is for the whole batch.
+// BenchmarkDecisionBatchRBF scores 16 rows per op through one
+// DecisionBatch call — the Reevaluate/SelectNetwork shape. ns/op is for the whole batch.
 func BenchmarkDecisionBatchRBF(b *testing.B) {
 	m, _ := benchDecisionModel(b, RBF)
 	rows := probeRows(16, 5, 3)

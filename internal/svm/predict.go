@@ -80,65 +80,12 @@ func buildModel(cfg Config, gamma float64, scaler *Scaler, xs [][]float64, y, al
 			m.svNorm[k] = mathx.Dot(row, row)
 		}
 		// The RFF tier fits its readout against this model's own exact
-		// decisions on the training rows, so it is built before the
-		// quantized slab switches the decision paths over.
+		// decisions on the training rows.
 		if cfg.RFF && len(m.svCoef) > 0 {
 			m.rff = buildRFF(cfg, m, xs)
 		}
-		if cfg.QuantizeSVs {
-			m.buildQuantSlab()
-		}
 	}
 	return m
-}
-
-// buildQuantSlab derives the int16 representation from the exact slab:
-// one step size per feature (max|sv_j| across support vectors divided
-// into the int16 range) and each coordinate rounded to its nearest
-// step. The dequantized norms are precomputed so scoring needs only
-// the scaled-sample dot against the int16 rows. The derivation is a
-// pure function of the exact slab — same slab in, bit-identical
-// quantized slab out — which is what lets ModelFromState rebuild it
-// instead of serializing it.
-func (m *Model) buildQuantSlab() {
-	nsv, dim := len(m.svCoef), m.dim
-	if nsv == 0 || dim == 0 {
-		return
-	}
-	m.qScale = make([]float64, dim)
-	for j := 0; j < dim; j++ {
-		var maxAbs float64
-		for i := 0; i < nsv; i++ {
-			if v := math.Abs(m.svSlab[i*dim+j]); v > maxAbs {
-				maxAbs = v
-			}
-		}
-		// A feature that is zero across every support vector gets step
-		// 0: its quantized coordinates and the scaled sample coordinate
-		// are both exactly 0, matching the exact slab.
-		m.qScale[j] = maxAbs / 32767
-	}
-	m.qSlab = make([]int16, nsv*dim)
-	m.qNorm = make([]float64, nsv)
-	for i := 0; i < nsv; i++ {
-		var norm float64
-		for j := 0; j < dim; j++ {
-			step := m.qScale[j]
-			var q float64
-			if step > 0 {
-				q = math.Round(m.svSlab[i*dim+j] / step)
-				if q > 32767 {
-					q = 32767
-				} else if q < -32767 {
-					q = -32767
-				}
-			}
-			m.qSlab[i*dim+j] = int16(q)
-			dq := q * step
-			norm += dq * dq
-		}
-		m.qNorm[i] = norm
-	}
 }
 
 // NumSV returns the number of support vectors retained by the model.
@@ -149,8 +96,8 @@ func (m *Model) NumSV() int { return len(m.svCoef) }
 func (m *Model) Dim() int { return m.dim }
 
 // BatchScratch returns the scratch length DecisionBatch needs to score
-// n rows without allocating.
-func (m *Model) BatchScratch(n int) int { return n * (m.dim + 1) }
+// n rows without allocating: one standardized row, whatever n.
+func (m *Model) BatchScratch(n int) int { return m.dim }
 
 // Decision returns the signed distance-like score f(x) of the sample:
 // positive inside the admissible half-space, negative outside. ExBox's
@@ -188,9 +135,6 @@ func (m *Model) DecisionInto(dst, row []float64) float64 {
 		z[j] = zj
 		zn += zj * zj
 	}
-	if m.qSlab != nil {
-		return m.rbfQuantOver(z, zn)
-	}
 	return m.rbfOver(z, zn)
 }
 
@@ -210,108 +154,26 @@ func (m *Model) rbfOver(z []float64, zn float64) float64 {
 	return s
 }
 
-// rbfQuantOver is rbfOver against the int16 slab. The kernel argument
-// uses z·svq = Σ_j (z_j·step_j)·q_ij, so z is rescaled once (in place
-// — it is caller scratch and already consumed into zn) and the slab
-// walk is a float64 accumulation over int16 loads: the same arithmetic
-// as the exact path with the support vectors replaced by their
-// dequantized values.
-func (m *Model) rbfQuantOver(z []float64, zn float64) float64 {
-	for j := range z {
-		z[j] *= m.qScale[j]
-	}
-	s := m.b
-	g := m.gamma
-	dim := m.dim
-	for i, c := range m.svCoef {
-		q := m.qSlab[i*dim : (i+1)*dim]
-		var dot float64
-		for j, zj := range z {
-			dot += zj * float64(q[j])
-		}
-		s += c * math.Exp(-g*(zn+m.qNorm[i]-2*dot))
-	}
-	return s
-}
-
-// DecisionBatch scores every row, writing the decisions into dst
-// (reallocated when too small) and using scratch as workspace. Pass
-// dst with capacity len(rows) and scratch with length BatchScratch
-// (len(rows)) to make the call allocation-free. For the RBF kernel the
-// whole batch is scored in one pass over the support-vector slab, so
-// each support vector is loaded once for all rows. Returns the scores,
-// aliased to dst when it was large enough.
+// DecisionBatch scores every row through DecisionInto, writing the
+// decisions into dst (reallocated when too small) and using scratch as
+// the standardized-sample workspace. Pass dst with capacity len(rows)
+// and scratch with length BatchScratch(len(rows)) to make the call
+// allocation-free. Each row walks the slab on its own — the slab of a
+// realistic model is cache-resident and the walk is exp-bound, so one
+// tight single-row loop per row beats an interleaved pass — which
+// makes a batch bit-equal to the same rows scored one at a time.
+// Returns the scores, aliased to dst when it was large enough.
 func (m *Model) DecisionBatch(dst []float64, rows [][]float64, scratch []float64) []float64 {
 	n := len(rows)
 	if cap(dst) < n {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	if n == 0 {
-		return dst
+	if len(scratch) < m.dim {
+		scratch = make([]float64, m.dim)
 	}
-	if m.wFold != nil {
-		for r, row := range rows {
-			dst[r] = mathx.Dot(m.wFold, row) + m.bFold
-		}
-		return dst
-	}
-	if need := n * (m.dim + 1); len(scratch) < need {
-		scratch = make([]float64, need)
-	}
-	z := scratch[: n*m.dim : n*m.dim]
-	zn := scratch[n*m.dim : n*m.dim+n]
 	for r, row := range rows {
-		if len(row) != m.dim {
-			panic(fmt.Sprintf("svm: row %d dim %d, model dim %d", r, len(row), m.dim))
-		}
-		zr := z[r*m.dim : (r+1)*m.dim]
-		var norm float64
-		for j, v := range row {
-			zj := (v - m.scaler.Mean[j]) / m.scaler.Std[j]
-			zr[j] = zj
-			norm += zj * zj
-		}
-		zn[r] = norm
-		dst[r] = m.b
-	}
-	g := m.gamma
-	if m.qSlab != nil {
-		// Quantized batch: rescale every standardized row by the
-		// per-feature step once, then stream the whole batch over the
-		// int16 slab — each support-vector row is ~4× smaller, so far
-		// more of the slab survives in cache between rows.
-		for r := 0; r < n; r++ {
-			zr := z[r*m.dim : (r+1)*m.dim]
-			for j := range zr {
-				zr[j] *= m.qScale[j]
-			}
-		}
-		for i, c := range m.svCoef {
-			q := m.qSlab[i*m.dim : (i+1)*m.dim]
-			norm := m.qNorm[i]
-			for r := 0; r < n; r++ {
-				zr := z[r*m.dim : (r+1)*m.dim]
-				var dot float64
-				for j, zj := range zr {
-					dot += zj * float64(q[j])
-				}
-				dst[r] += c * math.Exp(-g*(zn[r]+norm-2*dot))
-			}
-		}
-		return dst
-	}
-	for i, c := range m.svCoef {
-		sv := m.svSlab[i*m.dim : (i+1)*m.dim]
-		norm := m.svNorm[i]
-		for r := 0; r < n; r++ {
-			zr := z[r*m.dim : (r+1)*m.dim]
-			var dot float64
-			for j, zj := range zr {
-				dot += zj * sv[j]
-			}
-			dst[r] += c * math.Exp(-g*(zn[r]+norm-2*dot))
-		}
+		dst[r] = m.DecisionInto(scratch, row)
 	}
 	return dst
 }

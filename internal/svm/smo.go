@@ -50,16 +50,6 @@ type Config struct {
 	// disables pruning and keeps fits bit-identical to earlier
 	// versions; SolveStats.Pruned reports how many were dropped.
 	PruneTol float64
-	// QuantizeSVs stores the standardized support-vector slab a second
-	// time as int16 with one scale per feature (see buildQuantSlab)
-	// and scores RBF decisions against that slab, shrinking the
-	// decision working set ~4× so large admission bursts stay cache
-	// resident. The float64 slab is retained and decisionScalar keeps
-	// scoring against it, so the exact path remains available as the
-	// oracle the equivalence tests and the health monitor compare to.
-	// Ignored for the linear kernel. Off by default: decisions are
-	// bit-identical to earlier versions unless this is set.
-	QuantizeSVs bool
 }
 
 // DefaultConfig returns the configuration used by the ExBox
@@ -107,15 +97,6 @@ type Model struct {
 	// stride dim, plus their precomputed squared norms.
 	svSlab []float64
 	svNorm []float64
-
-	// Quantized slab (Config.QuantizeSVs, RBF only): the support
-	// vectors again as int16 with a per-feature step size, plus the
-	// squared norms of the *dequantized* vectors, so the decision is
-	// exactly the RBF decision of the dequantized model. qSlab == nil
-	// when quantization is off.
-	qScale []float64 // dim: standardized units per int16 step
-	qSlab  []int16   // len(svCoef)×dim, row-major
-	qNorm  []float64 // len(svCoef): ‖q·scale‖² per support vector
 
 	// rff is the optional budget-constrained inference tier
 	// (Config.RFF; see rff.go), nil when disabled or when its readout
@@ -194,12 +175,20 @@ func (w *WarmState) Usable(n, dim int) bool {
 // useful starting point; the solver converges to the optimum either
 // way.
 func Solve(cfg Config, x [][]float64, y []float64, warm *WarmState) (*Model, *WarmState, error) {
-	return solveWithStats(cfg, x, y, warm, nil)
+	return SolveDetailed(cfg, x, y, warm, nil)
 }
 
-// solveWithStats is the Solve body; stats, when non-nil, collects
-// per-phase counters and timings (see SolveDetailed).
-func solveWithStats(cfg Config, x [][]float64, y []float64, warm *WarmState, stats *SolveStats) (*Model, *WarmState, error) {
+// SolveDetailed is Solve with per-phase accounting: when stats is
+// non-nil it is overwritten with the counters and timings of this fit.
+// The solve itself is bit-identical either way — the counters are
+// plain increments and the timers wrap whole phases, so passing nil
+// (what Solve does) keeps the hot loops free of clock calls.
+func SolveDetailed(cfg Config, x [][]float64, y []float64, warm *WarmState, stats *SolveStats) (*Model, *WarmState, error) {
+	if stats != nil {
+		*stats = SolveStats{Rows: len(x)}
+		t0 := time.Now()
+		defer func() { stats.TotalSeconds = time.Since(t0).Seconds() }()
+	}
 	if len(x) == 0 {
 		return nil, nil, errors.New("svm: no training data")
 	}

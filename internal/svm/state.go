@@ -19,11 +19,7 @@ import (
 // floating-point folding at build time, and re-deriving them from the
 // dual variables would reproduce the same values only up to rounding.
 // Storing the built representation is what makes a restored model's
-// Decision bit-equal to the one that was saved. The one exception is
-// the quantized slab (Config.QuantizeSVs): it is a pure function of
-// the serialized exact slab — same rounding every time — so
-// ModelFromState rebuilds it instead of carrying an int16 payload
-// through the codec, and the rebuilt decisions are still bit-equal.
+// Decision bit-equal to the one that was saved.
 //
 // ModelFromState validates every structural invariant the inference
 // fast path relies on (slab stride, scaler length, finite values), so
@@ -191,9 +187,6 @@ func ModelFromState(st ModelState) (*Model, error) {
 	} else {
 		m.svSlab = append([]float64(nil), st.SVSlab...)
 		m.svNorm = append([]float64(nil), st.SVNorm...)
-		if st.Config.QuantizeSVs {
-			m.buildQuantSlab()
-		}
 	}
 	if r := st.RFF; r != nil {
 		m.rff = &rffModel{

@@ -1,7 +1,5 @@
 package svm
 
-import "time"
-
 // SolveStats reports how one Solve call spent its effort, split the
 // way the solver actually works: seeding (scaler + kdiag + warm error
 // rebuild), kernel-row computation, and shrinking bookkeeping. The
@@ -52,21 +50,4 @@ func (s *SolveStats) CacheHitRate() float64 {
 		return 0
 	}
 	return float64(s.CacheHits) / float64(total)
-}
-
-// SolveDetailed is Solve with per-phase accounting: when stats is
-// non-nil it is overwritten with the counters and timings of this fit.
-// The solve itself is bit-identical to Solve — the counters are plain
-// increments and the timers wrap whole phases, so passing nil (what
-// Solve does) keeps the hot loops free of clock calls.
-func SolveDetailed(cfg Config, x [][]float64, y []float64, warm *WarmState, stats *SolveStats) (*Model, *WarmState, error) {
-	if stats != nil {
-		*stats = SolveStats{Rows: len(x)}
-	}
-	t0 := time.Now()
-	m, next, err := solveWithStats(cfg, x, y, warm, stats)
-	if stats != nil {
-		stats.TotalSeconds = time.Since(t0).Seconds()
-	}
-	return m, next, err
 }

@@ -19,7 +19,7 @@ BenchmarkRetrainWarm-8   	      30	    850000 ns/op
 BenchmarkAdmitParallel-8 	 9000000	       133.5 ns/op
 BenchmarkDecisionRBF-8   	  300000	      3669 ns/op	       0 B/op	       0 allocs/op
 BenchmarkDecisionRBF-8   	  300000	      3700 ns/op	       0 B/op	       0 allocs/op
-BenchmarkDecisionRBFRef-8	  250000	      4781 ns/op	      64 B/op	       2 allocs/op
+BenchmarkAdmitInstrumented-8	  250000	      4781 ns/op	      64 B/op	       2 allocs/op
 PASS
 ok  	exbox/internal/svm	1.386s
 `
@@ -50,8 +50,8 @@ func TestParseGoBench(t *testing.T) {
 	if got := samples["BenchmarkDecisionRBF"].Allocs; len(got) != 2 || got[0] != 0 {
 		t.Fatalf("rbf alloc samples = %v, want two zeros", got)
 	}
-	if got := samples["BenchmarkDecisionRBFRef"].Allocs; len(got) != 1 || got[0] != 2 {
-		t.Fatalf("ref alloc samples = %v, want [2]", got)
+	if got := samples["BenchmarkAdmitInstrumented"].Allocs; len(got) != 1 || got[0] != 2 {
+		t.Fatalf("instrumented alloc samples = %v, want [2]", got)
 	}
 }
 
