@@ -26,9 +26,9 @@
 //	exboxd [-listen 127.0.0.1:0] [-duration 10s] [-demo]
 //	       [-workers N] [-shards N] [-burst N] [-ringsize N]
 //	       [-mixedsnr] [-http addr]
-//	       [-rff] [-rffdim D] [-rffagreement F] [-snapshotdir DIR]
+//	       [-tracesample N] [-rff] [-snapshotdir DIR]
 //	       [-flightdir DIR] [-tsres 1s] [-tsretain 15m]
-//	       [-slowindow 15m] [-sloobj 0.99] [-latsample N]
+//	       [-slowindow 15m] [-sloobj 0.99]
 //
 // With -demo (the default), built-in traffic generators emulate a mix
 // of web, streaming and conferencing clients so the daemon is fully
@@ -41,8 +41,7 @@
 // feature linearization of the RBF boundary (sub-microsecond instead
 // of a walk over the support-vector slab); the model-health monitor
 // compares the tier against exact scoring on every labeled sample and
-// demotes back to the exact path when agreement drops below
-// -rffagreement.
+// demotes back to the exact path when agreement drops below 0.9.
 //
 // With -snapshotdir the daemon persists each cell's learned model to
 // DIR (atomically, one file per cell: after every background refit,
@@ -61,19 +60,18 @@
 // from whatever was flushed. QoE SLO burn-rate accounting (objective
 // -sloobj over the -slowindow sliding window, with a fast window at
 // 1/15th of it) runs regardless and surfaces as the slo_burn check on
-// /debug/health. -latsample tunes how many admissions pay for a
-// latency-histogram observation.
+// /debug/health.
 //
 // With -http (e.g. -http :9090) the daemon serves its telemetry over
 // HTTP: a plaintext /metrics page, the decision audit trail as
 // /debug/admissions, windowed metric history as /debug/timeline
-// (JSON; ?metric=, ?cell=, ?since= filters) and /timeline.bin
-// (compact binary), expvar under /debug/vars, and net/http/pprof
-// under /debug/pprof/. All counters, gauges and histograms come from
-// one obs.Registry shared by the gateway, the middlebox core, the
-// classifier and the flow table. The same server publishes each
-// cell's encoded snapshot at /snapshot/{cell} with the fit sequence
-// as ETag, so a cluster worker can poll cheaply with If-None-Match.
+// (JSON; ?metric=, ?cell=, ?since= filters), expvar under
+// /debug/vars, and net/http/pprof under /debug/pprof/. All counters,
+// gauges and histograms come from one obs.Registry shared by the
+// gateway, the middlebox core, the classifier and the flow table. The
+// same server publishes each cell's encoded snapshot at
+// /snapshot/{cell} with the fit sequence as ETag, so a cluster worker
+// can poll cheaply with If-None-Match.
 package main
 
 import (
@@ -122,19 +120,14 @@ func main() {
 	flag.IntVar(&opts.ringSize, "ringsize", 1024, "per-worker ingest ring capacity (rounded up to a power of two)")
 	mixed := flag.Bool("mixedsnr", false, "use the 3-class x 2-SNR-level space")
 	httpAddr := flag.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-	flag.BoolVar(&opts.warmStart, "warmstart", true, "seed each SVM refit from the previous fit's solver state")
 	flag.IntVar(&opts.traceSample, "tracesample", 16, "head-sample 1 in N flows for lifecycle tracing (1 = every flow, 0 = off)")
-	flag.IntVar(&opts.traceBuf, "tracebuf", 256, "how many flow traces the /debug/traces ring keeps")
 	flag.BoolVar(&opts.rff, "rff", false, "score admissions through the random-Fourier-feature tier (oracle-gated fallback to exact)")
-	flag.IntVar(&opts.rffDim, "rffdim", 256, "RFF dictionary size (cos/sin features) when -rff is on")
-	flag.Float64Var(&opts.rffAgreement, "rffagreement", 0.9, "demote the RFF tier when its agreement EWMA with exact scoring drops below this")
 	flag.StringVar(&opts.snapshotDir, "snapshotdir", "", "persist per-cell model snapshots to this directory and warm-boot from it on start")
 	flightDir := flag.String("flightdir", "", "journal flight-recorder events (admissions, health, retrains, snapshots, SLO breaches) to segment files in this directory")
 	flag.DurationVar(&opts.tsRes, "tsres", time.Second, "timeline sample resolution behind /debug/timeline")
 	flag.DurationVar(&opts.tsRetain, "tsretain", 15*time.Minute, "timeline retention window")
 	flag.DurationVar(&opts.sloWindow, "slowindow", 15*time.Minute, "QoE SLO slow burn-rate window (the fast window is 1/15th of it)")
 	flag.Float64Var(&opts.sloObjective, "sloobj", 0.99, "QoE SLO objective: target good fraction of QoE ticks")
-	flag.IntVar(&opts.latSample, "latsample", 16, "sample 1 in N admissions into the latency histogram (rounded up to a power of two)")
 	flag.Parse()
 
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
@@ -153,7 +146,7 @@ func main() {
 	log.Printf("exboxd build: revision %s, %s", revision, goVersion)
 	var tracer *trace.Tracer
 	if opts.traceSample > 0 {
-		tracer = trace.New(opts.traceBuf, opts.traceSample)
+		tracer = trace.New(traceRing, opts.traceSample)
 	}
 
 	// The flight recorder starts before the gateway and its stop is
@@ -181,9 +174,7 @@ func main() {
 	defer gw.close()
 
 	// The in-process timeline store: every registered metric sampled on
-	// a fixed cadence into fixed-memory rings, served as JSON and as the
-	// compact binary dump. It samples whether or not -http is set, so a
-	// post-mortem /timeline.bin pull always has history behind it.
+	// a fixed cadence into fixed-memory rings, served as JSON.
 	timeline := tsdb.New(reg, tsdb.Config{Resolution: opts.tsRes, Retention: opts.tsRetain})
 	log.Printf("gateway listening on %s, sink on %s (%d workers, %d shards, burst %d, ring %d, space %dx%d)",
 		gw.conn.LocalAddr(), gw.sink.LocalAddr(), opts.workers, opts.shards, opts.burst, gw.rings[0].Cap(), space.Classes, space.Levels)
@@ -197,7 +188,6 @@ func main() {
 		mux := reg.ServeMux()
 		mux.HandleFunc("/snapshot/", gw.serveSnapshot)
 		mux.Handle("/debug/timeline", timeline.Handler())
-		mux.Handle("/timeline.bin", timeline.BinaryHandler())
 		// ReadHeaderTimeout keeps a slow-header client from pinning a
 		// connection forever; Serve's error no longer vanishes; Shutdown
 		// (deferred, so it runs before gw.close) drains in-flight scrapes
@@ -215,7 +205,7 @@ func main() {
 				log.Printf("telemetry shutdown: %v", err)
 			}
 		}()
-		log.Printf("telemetry on http://%s/metrics (also /debug/admissions, /debug/traces, /debug/health, /debug/timeline, /timeline.bin, /debug/vars, /debug/pprof/, /snapshot/{cell})", ln.Addr())
+		log.Printf("telemetry on http://%s/metrics (also /debug/admissions, /debug/traces, /debug/health, /debug/timeline, /debug/vars, /debug/pprof/, /snapshot/{cell})", ln.Addr())
 	}
 
 	done := make(chan struct{})
@@ -437,30 +427,28 @@ func (in *interner) get(src *net.UDPAddr) *clientEntry {
 
 const cellID = exboxcore.CellID("ap0")
 
+// traceRing is how many flow traces the /debug/traces ring keeps.
+const traceRing = 256
+
 // gatewayOptions bundles the daemon's tunables — main parses the flags
 // straight into it — that newGateway threads into the classifier, the
-// ingest datapath and the telemetry layers: warm-started refits, the
-// budget-constrained RFF scoring tier with its demotion threshold, the
-// ring/burst geometry, tracing and timeline sizing. In newGateway zero
-// values pick the defaults, so tests can leave fields unset; validate
-// judges the values the flags produced.
+// ingest datapath and the telemetry layers: the budget-constrained RFF
+// scoring tier, the ring/burst geometry, tracing and timeline sizing.
+// In newGateway zero values pick the defaults, so tests can leave
+// fields unset; validate judges the values the flags produced.
 type gatewayOptions struct {
-	warmStart    bool
-	rff          bool
-	rffDim       int
-	rffAgreement float64
-	snapshotDir  string
-	shards       int // flow-table shards; <= 0 defaults to 32
-	workers      int // ring count; <= 0 defaults to 1
-	burst        int // max packets per drained burst; <= 0 defaults to 64
-	ringSize     int // per-worker ring capacity; <= 0 defaults to 1024
-	latSample    int // sample 1 in N admit latencies; <= 0 keeps the default
-	// Flow-lifecycle tracing (head-sample 1 in traceSample flows into a
-	// ring of traceBuf traces; 0 = off) and the timeline store's
-	// resolution and retention. main builds the tracer and the store
-	// from these; newGateway takes the tracer ready-made.
-	traceSample, traceBuf int
-	tsRes, tsRetain       time.Duration
+	rff         bool
+	snapshotDir string
+	shards      int // flow-table shards; <= 0 defaults to 32
+	workers     int // ring count; <= 0 defaults to 1
+	burst       int // max packets per drained burst; <= 0 defaults to 64
+	ringSize    int // per-worker ring capacity; <= 0 defaults to 1024
+	// Flow-lifecycle tracing (head-sample 1 in traceSample flows; 0 =
+	// off) and the timeline store's resolution and retention. main
+	// builds the tracer and the store from these; newGateway takes the
+	// tracer ready-made.
+	traceSample     int
+	tsRes, tsRetain time.Duration
 	// QoE SLO burn-rate accounting: zero values pick the SLOConfig
 	// defaults (99% objective over a 15-minute slow window).
 	sloObjective float64
@@ -494,21 +482,6 @@ func (o gatewayOptions) validate() error {
 	}
 	if o.traceSample < 0 {
 		return fmt.Errorf("-tracesample must be >= 0 (0 disables tracing), got %d", o.traceSample)
-	}
-	if o.traceBuf < 0 {
-		return fmt.Errorf("-tracebuf must be >= 0, got %d", o.traceBuf)
-	}
-	if o.traceSample > 0 && o.traceBuf < 1 {
-		return fmt.Errorf("-tracebuf must be >= 1 when tracing is on, got %d", o.traceBuf)
-	}
-	if o.rffDim < 2 {
-		return fmt.Errorf("-rffdim must be >= 2 (cos/sin pairs), got %d", o.rffDim)
-	}
-	if o.rffAgreement <= 0 || o.rffAgreement > 1 {
-		return fmt.Errorf("-rffagreement must be in (0, 1], got %g", o.rffAgreement)
-	}
-	if o.latSample < 1 {
-		return fmt.Errorf("-latsample must be >= 1 (1 = every admission), got %d", o.latSample)
 	}
 	if o.sloObjective <= 0 || o.sloObjective >= 1 {
 		return fmt.Errorf("-sloobj must be in (0, 1), got %g", o.sloObjective)
@@ -578,28 +551,19 @@ func newGateway(listen string, space excr.Space, opts gatewayOptions, reg *obs.R
 	mb := exboxcore.New(space, exboxcore.Discontinue)
 	cfg := classifier.DefaultConfig()
 	// Live gateway: batch SVM fits happen on the cell's background
-	// worker, never on a packet worker, and (unless -warmstart=false)
-	// each refit is seeded from the previous boundary so the worker
-	// keeps up with the paper's retrain-every-batch cadence.
+	// worker, never on a packet worker, and each refit is seeded from
+	// the previous boundary so the worker keeps up with the paper's
+	// retrain-every-batch cadence.
 	cfg.DeferRetrain = !opts.syncRetrain
-	cfg.WarmStart = opts.warmStart
+	cfg.WarmStart = true
 	// The RFF tier trades the exact SV-slab walk for a sub-microsecond
 	// linearized score on every admission; the health monitor's oracle
 	// gate demotes back to exact scoring if the tier misbehaves.
 	cfg.SVM.RFF = opts.rff
-	cfg.SVM.RFFDim = opts.rffDim
 	if _, err := mb.AddCell(cellID, cfg); err != nil {
 		conn.Close()
 		sink.Close()
 		return nil, err
-	}
-	if opts.rff {
-		// The custom demotion threshold must land before Instrument:
-		// EnableHealth is first-call-wins and Instrument installs the
-		// defaults.
-		hc := classifier.DefaultHealthConfig()
-		hc.RFFAgreementMin = opts.rffAgreement
-		mb.Cell(cellID).Classifier.EnableHealth(hc)
 	}
 	// Instrument before the bootstrap training below so the fit
 	// metrics and training-size gauge cover it too. The tracer and the
@@ -607,9 +571,6 @@ func newGateway(listen string, space excr.Space, opts gatewayOptions, reg *obs.R
 	// the tracer's ring, /debug/health the middlebox's report.
 	mb.Instrument(reg, 256)
 	mb.InstrumentTracing(tracer)
-	if opts.latSample > 0 {
-		mb.SetAdmitLatencySampling(opts.latSample)
-	}
 	mb.EnableSLO(exboxcore.SLOConfig{Objective: opts.sloObjective, SlowWindow: opts.sloWindow})
 	if opts.flight != nil {
 		mb.InstrumentFlightRecorder(opts.flight)

@@ -54,7 +54,7 @@ func metricValue(page, name string) float64 {
 // — the same wiring `exboxd -http :9090` serves.
 func TestGatewayTelemetryEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
-	gw, err := newGateway("127.0.0.1:0", excr.DefaultSpace, gatewayOptions{warmStart: true, shards: 8}, reg, nil)
+	gw, err := newGateway("127.0.0.1:0", excr.DefaultSpace, gatewayOptions{shards: 8}, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestGatewayTelemetryEndToEnd(t *testing.T) {
 func TestGatewayTracingAndHealthEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := trace.New(64, 1)
-	gw, err := newGateway("127.0.0.1:0", excr.DefaultSpace, gatewayOptions{warmStart: true, shards: 8}, reg, tracer)
+	gw, err := newGateway("127.0.0.1:0", excr.DefaultSpace, gatewayOptions{shards: 8}, reg, tracer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,9 +333,8 @@ func TestValidateFlags(t *testing.T) {
 	// case overrides what it sweeps so new flags don't rewrite the table.
 	type args = gatewayOptions
 	sane := args{
-		workers: 4, shards: 32, traceSample: 16, traceBuf: 256,
-		rffDim: 256, burst: 64, ringSize: 1024, latSample: 16,
-		rffAgreement: 0.9, sloObjective: 0.99,
+		workers: 4, shards: 32, traceSample: 16,
+		burst: 64, ringSize: 1024, sloObjective: 0.99,
 		tsRes: time.Second, tsRetain: 15 * time.Minute, sloWindow: 15 * time.Minute,
 	}
 	cases := []struct {
@@ -345,27 +344,14 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{"defaults", func(*args) {}, ""},
 		{"tracing off", func(a *args) { a.traceSample = 0 }, ""},
-		{"tracing off zero buf", func(a *args) { a.traceSample, a.traceBuf = 0, 0 }, ""},
 		{"negative tracesample", func(a *args) { a.traceSample = -1 }, "-tracesample"},
-		{"negative tracebuf", func(a *args) { a.traceBuf = -1 }, "-tracebuf"},
-		{"zero tracebuf while tracing", func(a *args) { a.traceBuf = 0 }, "-tracebuf"},
 		{"zero workers", func(a *args) { a.workers = 0 }, "-workers"},
 		{"zero shards", func(a *args) { a.shards = 0 }, "-shards"},
-		{"rffdim zero", func(a *args) { a.rffDim = 0 }, "-rffdim"},
-		{"rffdim one", func(a *args) { a.rffDim = 1 }, "-rffdim"},
-		{"rffdim minimal", func(a *args) { a.rffDim = 2 }, ""},
-		{"agreement zero", func(a *args) { a.rffAgreement = 0 }, "-rffagreement"},
-		{"agreement negative", func(a *args) { a.rffAgreement = -0.5 }, "-rffagreement"},
-		{"agreement above one", func(a *args) { a.rffAgreement = 1.5 }, "-rffagreement"},
-		{"agreement one", func(a *args) { a.rffAgreement = 1 }, ""},
 		{"zero burst", func(a *args) { a.burst = 0 }, "-burst"},
 		{"negative burst", func(a *args) { a.burst = -1 }, "-burst"},
 		{"burst of one", func(a *args) { a.burst = 1 }, ""},
 		{"ring smaller than burst", func(a *args) { a.ringSize = 32 }, "-ringsize"},
 		{"ring equals burst", func(a *args) { a.ringSize = 64 }, ""},
-		{"zero latsample", func(a *args) { a.latSample = 0 }, "-latsample"},
-		{"negative latsample", func(a *args) { a.latSample = -4 }, "-latsample"},
-		{"latsample every admission", func(a *args) { a.latSample = 1 }, ""},
 		{"sloobj zero", func(a *args) { a.sloObjective = 0 }, "-sloobj"},
 		{"sloobj one", func(a *args) { a.sloObjective = 1 }, "-sloobj"},
 		{"sloobj three nines", func(a *args) { a.sloObjective = 0.999 }, ""},
@@ -393,13 +379,13 @@ func TestValidateFlags(t *testing.T) {
 }
 
 // TestGatewayRFFOptions boots the gateway with the RFF tier enabled
-// and checks the wiring end to end: the custom demotion threshold
-// survives Instrument (EnableHealth is first-call-wins), the
-// bootstrap fit ships a tier, and the per-cell rff metrics exist.
+// and checks the wiring end to end: the bootstrap fit ships a tier,
+// /debug/health carries the rff_tier check, and the per-cell rff
+// metrics exist.
 func TestGatewayRFFOptions(t *testing.T) {
 	reg := obs.NewRegistry()
 	gw, err := newGateway("127.0.0.1:0", excr.DefaultSpace,
-		gatewayOptions{warmStart: true, shards: 8, rff: true, rffDim: 128, rffAgreement: 0.5}, reg, nil)
+		gatewayOptions{shards: 8, rff: true}, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,7 +213,7 @@ type Scratch struct {
 	rows  [][]float64 // row views into slab
 	score []float64   // raw decision values for a batch
 	batch []float64   // FastPredictor.DecisionBatch workspace
-	bad   []bool      // per-row forced-reject marks (see Bad)
+	bad   []bool      // per-row forced-reject marks (see scoreBatch)
 	one   [1]Decision // Decide's batch-of-one destination
 }
 
@@ -719,7 +719,7 @@ func (ac *AdmittanceClassifier) Decide(a excr.Arrival) Decision {
 	// The one-element arrival slice stays on the stack: scoreBatch only
 	// reads it.
 	d := ac.scoreBatch(s.one[:0], []excr.Arrival{a}, s)[0]
-	ac.RecordDecision(d, s.bad[0])
+	ac.recordDecision(d, s.bad[0])
 	scratchPool.Put(s)
 	return d
 }
@@ -729,7 +729,7 @@ func (ac *AdmittanceClassifier) Decide(a excr.Arrival) Decision {
 // concurrent refit cannot change the boundary mid-batch. Decisions are
 // written into dst (grown when too small) and returned. With a
 // caller-owned Scratch the batch is allocation-free; every decision is
-// recorded (RecordDecision).
+// recorded (recordDecision).
 func (ac *AdmittanceClassifier) DecideBatch(dst []Decision, arrivals []excr.Arrival, s *Scratch) []Decision {
 	if len(arrivals) == 0 {
 		return dst[:0]
@@ -740,35 +740,17 @@ func (ac *AdmittanceClassifier) DecideBatch(dst []Decision, arrivals []excr.Arri
 	}
 	dst = ac.scoreBatch(dst, arrivals, s)
 	for i, d := range dst {
-		ac.RecordDecision(d, s.bad[i])
+		ac.recordDecision(d, s.bad[i])
 	}
 	return dst
 }
 
-// PeekBatch scores every arrival like DecideBatch but records nothing:
-// no counters, no margin histogram, no health samples. It exists for
-// speculative scoring — the burst-admission cascade (exboxcore's
-// AdmitBurst) may score a candidate several times under different
-// traffic-matrix assumptions and commit only one of those scores, and
-// only the committed decision may reach telemetry (via
-// RecordDecision, with the row's Bad mark). After the call, Bad(i)
-// reports whether row i was forced to reject at the feature boundary.
-// Requires a caller-owned Scratch, since the Bad marks live in it.
-func (ac *AdmittanceClassifier) PeekBatch(dst []Decision, arrivals []excr.Arrival, s *Scratch) []Decision {
-	if len(arrivals) == 0 {
-		return dst[:0]
-	}
-	return ac.scoreBatch(dst, arrivals, s)
-}
-
-// RecordDecision is the one place a committed decision reaches
-// telemetry: the verdict counter, margin histogram and health sample
-// (or the bootstrap/bad-feature counters). bad is the scratch's Bad
-// mark for the row d came from. Decide and DecideBatch call it for
-// every decision they return; AdmitBurst calls it once per candidate,
-// in packet order, when the cascade commits the candidate's final
-// decision.
-func (ac *AdmittanceClassifier) RecordDecision(d Decision, bad bool) {
+// recordDecision is the one place a decision reaches telemetry: the
+// verdict counter, margin histogram and health sample (or the
+// bootstrap/bad-feature counters). bad is scoreBatch's mark for the row
+// d came from. Decide and DecideBatch call it for every decision they
+// return.
+func (ac *AdmittanceClassifier) recordDecision(d Decision, bad bool) {
 	if d.Bootstrap {
 		ac.metrics.BootstrapDecisions.Inc()
 		ac.metrics.Admits.Inc()
@@ -790,14 +772,8 @@ func (ac *AdmittanceClassifier) RecordDecision(d Decision, bad bool) {
 	}
 }
 
-// Bad reports whether row i of this Scratch's most recent
-// PeekBatch/DecideBatch was rejected at the feature boundary (a
-// non-finite feature row, or a NaN margin from the model). Valid until
-// the Scratch's next batch call.
-func (s *Scratch) Bad(i int) bool { return s.bad[i] }
-
-// scoreBatch is the scoring core of Decide, DecideBatch and PeekBatch,
-// and the only place that selects the scoring tier and applies the
+// scoreBatch is the scoring core of Decide and DecideBatch, and the
+// only place that selects the scoring tier and applies the
 // feature-boundary guards: extract features into the scratch slab,
 // score the whole batch against one model snapshot, and write the
 // decisions — recording no telemetry.

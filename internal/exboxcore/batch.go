@@ -15,8 +15,8 @@ import (
 // tests to n bursts of one with the matrix advanced by the caller —
 // same decisions bit for bit, same audit-ring records (modulo
 // timestamps), same counter totals — while paying per-burst instead of
-// per-packet for the registry lookup, the training-lock handshake, the
-// clock reads, and the model-snapshot loads.
+// per-packet for the registry lookup, the training-lock handshake and
+// the clock reads.
 
 // ObserveBatch feeds a burst of labeled tuples to one cell's
 // classifier under a single training-lock hold, then kicks the
@@ -69,18 +69,12 @@ type BurstCandidate struct {
 }
 
 // BurstScratch is caller-owned workspace for AdmitBurst: the
-// classifier scratch plus the cascade's count, arrival and decision
-// buffers. One per worker, grown on demand, reused across bursts. Must
-// not be shared concurrently.
+// classifier scratch and the arrival each candidate was scored on (the
+// audit records need it after the loop). One per worker, grown on
+// demand, reused across bursts. Must not be shared concurrently.
 type BurstScratch struct {
 	clf      classifier.Scratch
-	counts   []int                 // running matrix counts across the burst
-	cum      []int                 // assumed cumulative counts within a pass
-	arrivals []excr.Arrival        // one pass's arrivals
-	dec      []classifier.Decision // one pass's speculative decisions
-	final    []classifier.Decision // committed decisions, packet order
-	finalArr []excr.Arrival        // the arrival each commit was scored on
-	bad      []bool                // committed Bad marks, packet order
+	arrivals []excr.Arrival
 }
 
 // AdmitBurst runs admission control for a burst of sequential
@@ -90,32 +84,21 @@ type BurstScratch struct {
 // inside the space — the same rule TrackAdmitted applies). base is the
 // admitted-traffic matrix at burst start; the caller applies
 // TrackAdmitted for the admitted outcomes afterwards. This is the
-// admission primitive: single-arrival Admit is a burst of one, which
-// runs one pass and none of the speculation below.
+// admission primitive: single-arrival Admit is a burst of one.
 //
-// The sequential dependency is resolved without falling back to scalar
-// scoring by an adaptive-assumption cascade: each pass scores the
-// whole uncommitted window in one PeekBatch under the running
-// assumption (every window candidate admits, or every one rejects),
-// then commits the longest prefix whose decisions matched the
-// assumption PLUS the first breaker — the breaker's own input matrix
-// depended only on the (confirmed) prefix, so its decision is valid
-// too. The assumption flips to the breaker's verdict and the window
-// shrinks. Every pass commits at least one candidate, so a burst of n
-// costs at most n batch passes — the worst case (a strictly
-// alternating admit/reject sequence) degrades to per-packet cost, and
-// a verdict-homogeneous burst, the common case, costs one pass.
-//
-// Telemetry is recorded once per candidate in packet order after the
-// cascade converges: classifier counters/margins/health via
-// RecordDecision, the audit-ring record against the matrix the
-// committed decision was actually scored on, the 1-in-16-sampled
-// latency histogram (observing the burst's per-decision average), and
-// the decision span on traced candidates. Speculative passes record
-// nothing. An untraced, unsampled burst reads the clock once (the
-// audit stamp) and allocates only the assumed matrices of candidates
-// after the first, so a burst of one is allocation-free. A nil bs
-// allocates locally.
+// It is a loop: each candidate, in packet order, is scored once against
+// the running matrix (classifier.DecideBatch of one, which also records
+// the classifier's counters, margin and health sample), and an in-space
+// admit moves the matrix for the candidates after it. Middlebox
+// telemetry follows in a second pass so the whole burst shares one
+// end-of-burst clock read: the audit-ring record against the matrix the
+// candidate was scored on, the 1-in-N-sampled latency histogram (one
+// observation of the burst's per-decision average for every decision
+// whose audit sequence number is a multiple of N), and the decision
+// span on traced candidates. An untraced, unsampled burst reads the
+// clock once (the audit stamp) and allocates one matrix per in-space
+// admit that is not the burst's last candidate, so a burst of one is
+// allocation-free. A nil bs allocates locally.
 func (mb *Middlebox) AdmitBurst(id CellID, base excr.Matrix, cands []BurstCandidate, dst []Outcome, bs *BurstScratch) ([]Outcome, error) {
 	cell, ok := mb.cell(id)
 	if !ok {
@@ -132,10 +115,11 @@ func (mb *Middlebox) AdmitBurst(id CellID, base excr.Matrix, cands []BurstCandid
 	if bs == nil {
 		bs = &BurstScratch{}
 	}
-	// The burst is clocked when the 1-in-N latency sample fires (keyed
-	// off the audit ring's sequence, which advances once per admission)
-	// or a candidate is traced, whose decision span carries the
-	// per-decision share.
+	// The burst is clocked when a candidate is traced (its decision span
+	// carries the per-decision share) or the 1-in-N latency sample fires:
+	// decisions are numbered by the audit ring's sequence, the burst
+	// covers [seq, seq+n), and first is the distance from seq to the next
+	// multiple of N (n when uninstrumented: never sampled).
 	traced := false
 	for _, c := range cands {
 		if c.Trace != nil {
@@ -143,90 +127,37 @@ func (mb *Middlebox) AdmitBurst(id CellID, base excr.Matrix, cands []BurstCandid
 			break
 		}
 	}
-	sampled := mb.obs != nil && mb.obs.ring.Seq()&mb.obs.latMask == 0
+	first := uint64(n)
+	if mb.obs != nil {
+		first = -mb.obs.ring.Seq() & mb.obs.latMask
+	}
+	sampled := first < uint64(n)
 	var startOff time.Duration
 	if sampled || traced {
 		startOff = time.Since(epoch)
 	}
-	space := mb.Space
-	dim := space.Dim()
-	if cap(bs.counts) < dim {
-		bs.counts = make([]int, dim)
-		bs.cum = make([]int, dim)
+	if cap(bs.arrivals) < n {
+		bs.arrivals = make([]excr.Arrival, n)
 	}
-	counts, cum := bs.counts[:dim], bs.cum[:dim]
-	base.CopyCounts(counts)
-	if cap(bs.final) < n {
-		bs.final = make([]classifier.Decision, n)
-		bs.finalArr = make([]excr.Arrival, n)
-		bs.bad = make([]bool, n)
-	}
-	final, finalArr, bad := bs.final[:n], bs.finalArr[:n], bs.bad[:n]
+	arrivals := bs.arrivals[:n]
 
-	// inSpace mirrors ShardedTable.tracked for a candidate about to be
-	// admitted: only in-space (class, level) cells contribute to the
-	// matrix. Levels are already collapsed by the caller.
-	inSpace := func(c BurstCandidate) bool {
-		return int(c.Class) >= 0 && int(c.Class) < space.Classes &&
-			int(c.Level) >= 0 && int(c.Level) < space.Levels
-	}
-
-	committed := 0
-	asm := true // assume-admit first: bootstrap and healthy cells mostly admit
-	for committed < n {
-		m := n - committed
-		if cap(bs.arrivals) < m {
-			bs.arrivals = make([]excr.Arrival, n)
+	// grew: the previous candidate was admitted and joins the matrix.
+	// The copy is made only when another candidate follows, so a burst
+	// of one allocates nothing.
+	mat, grew := base, false
+	var one [1]classifier.Decision
+	for g, c := range cands {
+		if grew {
+			mat = mat.Inc(cands[g-1].Class, cands[g-1].Level)
 		}
-		arrivals := bs.arrivals[:m]
-		if asm {
-			// Assume every window candidate admits: candidate k sees
-			// base + committed admits + assumed admits of 0..k-1 — for
-			// the burst's first candidate that is base itself, uncopied.
-			copy(cum, counts)
-			for k := 0; k < m; k++ {
-				c := cands[committed+k]
-				mat := base
-				if committed+k > 0 {
-					mat = excr.MatrixFromCounts(space, cum)
-				}
-				arrivals[k] = excr.Arrival{Matrix: mat, Class: c.Class, Level: c.Level}
-				if inSpace(c) {
-					cum[space.CellIndex(c.Class, c.Level)]++
-				}
-			}
-		} else {
-			// Assume every window candidate rejects: the matrix never
-			// moves, so the whole window shares one snapshot.
-			mat := excr.MatrixFromCounts(space, counts)
-			for k := 0; k < m; k++ {
-				c := cands[committed+k]
-				arrivals[k] = excr.Arrival{Matrix: mat, Class: c.Class, Level: c.Level}
-			}
-		}
-		bs.dec = cell.Classifier.PeekBatch(bs.dec[:0], arrivals, &bs.clf)
-		// Commit the matching prefix plus the first breaker; the
-		// breaker flips the assumption for the next pass.
-		commitEnd := m
-		nextAsm := asm
-		for k := 0; k < m; k++ {
-			if bs.dec[k].Admit != asm {
-				commitEnd = k + 1
-				nextAsm = bs.dec[k].Admit
-				break
-			}
-		}
-		for k := 0; k < commitEnd; k++ {
-			g := committed + k
-			final[g] = bs.dec[k]
-			finalArr[g] = arrivals[k]
-			bad[g] = bs.clf.Bad(k)
-			if bs.dec[k].Admit && inSpace(cands[g]) {
-				counts[space.CellIndex(cands[g].Class, cands[g].Level)]++
-			}
-		}
-		committed += commitEnd
-		asm = nextAsm
+		arrivals[g] = excr.Arrival{Matrix: mat, Class: c.Class, Level: c.Level}
+		d := cell.Classifier.DecideBatch(one[:0], arrivals[g:g+1], &bs.clf)[0]
+		dst[g] = Outcome{Cell: id, Decision: d, Verdict: mb.verdict(d)}
+		// Only in-space (class, level) cells contribute to the matrix,
+		// mirroring ShardedTable.tracked; levels are already collapsed by
+		// the caller.
+		grew = d.Admit && int(c.Class) >= 0 && int(c.Class) < mb.Space.Classes &&
+			int(c.Level) >= 0 && int(c.Level) < mb.Space.Levels
 	}
 
 	var endOff, perDec time.Duration
@@ -234,18 +165,17 @@ func (mb *Middlebox) AdmitBurst(id CellID, base excr.Matrix, cands []BurstCandid
 		endOff = time.Since(epoch)
 	}
 	if sampled {
-		mb.obs.admitSeconds.Observe((endOff - startOff).Seconds() / float64(n))
+		avg := (endOff - startOff).Seconds() / float64(n)
+		for k := first; k < uint64(n); k += mb.obs.latMask + 1 {
+			mb.obs.admitSeconds.Observe(avg)
+		}
 	}
 	if traced {
 		perDec = (endOff - startOff) / time.Duration(n)
 	}
 	nowNanos := epochNanos + int64(endOff)
-	for g := 0; g < n; g++ {
-		d := final[g]
-		out := Outcome{Cell: id, Decision: d, Verdict: mb.verdict(d)}
-		dst[g] = out
-		cell.Classifier.RecordDecision(d, bad[g])
-		mb.recordOutcome(cell, finalArr[g], out, endOff)
+	for g, out := range dst {
+		mb.recordOutcome(cell, arrivals[g], out, endOff)
 		if ft := cands[g].Trace; ft != nil {
 			ft.Add(DecisionSpan(nowNanos, perDec.Nanoseconds(), out))
 		}

@@ -2,13 +2,19 @@ package exboxcore
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"exbox/internal/apps"
 	"exbox/internal/classifier"
 	"exbox/internal/excr"
+	"exbox/internal/learner"
 	"exbox/internal/mathx"
+	"exbox/internal/netsim"
 	"exbox/internal/obs"
+	"exbox/internal/svm"
 	"exbox/internal/traffic"
 )
 
@@ -59,30 +65,162 @@ func stripTimed(s string) string {
 	return b.String()
 }
 
-// TestAdmitBurstMatchesPerPacket is the burst datapath's determinism
-// pin: the same candidate sequence driven per packet (each decision
-// conditioning on the matrix left by the previous one) and driven
-// through AdmitBurst in mixed-size bursts must produce bit-identical
-// outcomes, identical audit-ring records modulo timestamps, and
-// identical non-timing telemetry.
-func TestAdmitBurstMatchesPerPacket(t *testing.T) {
-	mbA, regA := twinMiddlebox(t, 7)
-	mbB, regB := twinMiddlebox(t, 7)
-	space := excr.DefaultSpace
+// burstCase is one input of TestAdmitBurstMatchesPerPacket: a candidate
+// sequence cut into bursts at bounds, on twin middleboxes built by
+// build. rebase rewrites the admitted-flow counts before burst bi, the
+// same way on both sides (flows expiring, or a fresh base matrix).
+type burstCase struct {
+	space  excr.Space
+	build  func(t *testing.T) (*Middlebox, *obs.Registry)
+	cands  []BurstCandidate
+	bounds []int
+	rebase func(bi int, counts []int)
+}
 
+// boundaryCase hovers around the region boundary of the default space:
+// mixed-size bursts, and the matrix drained by a quarter at every burst
+// boundary, so the verdict sequence alternates.
+func boundaryCase(t *testing.T) burstCase {
+	space := excr.DefaultSpace
 	const n = 150
 	cands := make([]BurstCandidate, n)
 	for i := range cands {
 		cands[i] = BurstCandidate{Class: excr.AppClass(i % space.Classes), Level: 0}
 	}
-	bounds := burstPlan(n)
+	return burstCase{
+		space:  space,
+		build:  func(t *testing.T) (*Middlebox, *obs.Registry) { return twinMiddlebox(t, 7) },
+		cands:  cands,
+		bounds: burstPlan(n),
+		rebase: func(_ int, counts []int) {
+			for i := range counts {
+				counts[i] = counts[i] * 3 / 4
+			}
+		},
+	}
+}
 
-	// decay drains the matrix at burst boundaries (flows expiring), so
-	// the load hovers around the region boundary and the verdict
-	// sequence alternates — the cascade's multi-pass case.
-	decay := func(counts []int) {
-		for i := range counts {
-			counts[i] = counts[i] * 3 / 4
+// poisonClass marks the candidates poisonLearner's models score NaN.
+const poisonClass = excr.AppClass(99)
+
+// poisonLearner trains the stock SVM and wraps the model so that a row
+// whose class feature is poisonClass scores NaN. excr features are
+// integer counts and can never be non-finite themselves, so a poisoned
+// model is the only way a candidate reaches the feature-boundary
+// reject (bad-features counter, no margin sample) through AdmitBurst.
+type poisonLearner struct{ learner.SVM }
+
+func (l poisonLearner) Train(x [][]float64, y []float64, keys []string, stats *svm.SolveStats) (learner.Predictor, bool, error) {
+	p, warm, err := l.SVM.Train(x, y, keys, stats)
+	if err != nil {
+		return nil, false, err
+	}
+	return poisonPredictor{p.(learner.FastPredictor)}, warm, nil
+}
+
+type poisonPredictor struct{ learner.FastPredictor }
+
+// DecisionBatch is the entry point the classifier's decide path scores
+// a FastPredictor through.
+func (p poisonPredictor) DecisionBatch(dst []float64, rows [][]float64, scratch []float64) []float64 {
+	dst = p.FastPredictor.DecisionBatch(dst, rows, scratch)
+	for i, row := range rows {
+		if row[len(row)-2] == float64(poisonClass) {
+			dst[i] = math.NaN()
+		}
+	}
+	return dst
+}
+
+// admitLibCase is the traffic bench/'s admit_lib workload puts through
+// AdmitBurst: the mixed-SNR space, the paper's Random population on
+// the testbed WiFi cell (about a fifth of the arrivals admissible, so
+// bursts are verdict-mixed and mostly rejecting), 32 candidates a burst,
+// every burst on a fresh base matrix. Burst 3 also carries one
+// out-of-space candidate (scored, never counted into the matrix) and
+// one poisoned one.
+func admitLibCase(t *testing.T) burstCase {
+	space := excr.MixedSNRSpace
+	const bursts, per = 12, 32
+	oracle := apps.Oracle{Net: netsim.FluidWiFi{Config: netsim.TestbedWiFi()}}
+	draw := func(rng *rand.Rand, n int) []excr.Arrival {
+		var out []excr.Arrival
+		assign := traffic.RandomLevels(rng, space)
+		for len(out) < n {
+			for _, e := range traffic.Arrivals(traffic.Random(rng, 64, 7, 0, space), assign) {
+				out = append(out, e.Arrival)
+			}
+		}
+		return out[:n]
+	}
+	build := func(t *testing.T) (*Middlebox, *obs.Registry) {
+		mb := New(space, Discontinue)
+		reg := obs.NewRegistry()
+		mb.Instrument(reg, 1024)
+		cfg := classifier.DefaultConfig()
+		cfg.Learner = poisonLearner{learner.SVM{Config: cfg.SVM}}
+		if _, err := mb.AddCell("ap", cfg); err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range draw(mathx.NewRand(1), 400) {
+			if err := mb.Observe("ap", excr.Sample{Arrival: a, Label: oracle.Label(a)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if mb.Cell("ap").Classifier.Bootstrapping() {
+			t.Fatal("cell did not graduate")
+		}
+		return mb, reg
+	}
+	stream := draw(mathx.NewRand(42), bursts*(per+1))
+	bases := make([]excr.Matrix, bursts)
+	cands := make([]BurstCandidate, 0, bursts*per)
+	bounds := []int{0}
+	for bi := range bases {
+		blk := stream[bi*(per+1) : (bi+1)*(per+1)]
+		bases[bi] = blk[0].Matrix
+		for _, a := range blk[1:] {
+			cands = append(cands, BurstCandidate{Class: a.Class, Level: a.Level})
+		}
+		bounds = append(bounds, len(cands))
+	}
+	cands[3*per+5] = BurstCandidate{Class: excr.Web, Level: excr.SNRLevel(space.Levels)}
+	cands[3*per+20] = BurstCandidate{Class: poisonClass}
+	return burstCase{
+		space: space, build: build, cands: cands, bounds: bounds,
+		rebase: func(bi int, counts []int) { copy(counts, bases[bi-1].Counts()) },
+	}
+}
+
+// TestAdmitBurstMatchesPerPacket is the burst datapath's determinism
+// pin: the same candidate sequence driven per packet (each decision
+// conditioning on the matrix left by the previous one) and driven
+// through AdmitBurst must produce bit-identical outcomes, identical
+// audit-ring records modulo timestamps, and identical non-timing
+// telemetry — and the classifier must count exactly one decision per
+// candidate: each is scored and recorded once.
+func TestAdmitBurstMatchesPerPacket(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(*testing.T) burstCase
+	}{
+		{"boundary", boundaryCase},
+		{"admit_lib", admitLibCase},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testBurstMatchesPerPacket(t, tc.mk(t)) })
+	}
+}
+
+func testBurstMatchesPerPacket(t *testing.T, tc burstCase) {
+	mbA, regA := tc.build(t)
+	mbB, regB := tc.build(t)
+	space, cands, bounds := tc.space, tc.cands, tc.bounds
+	n := len(cands)
+	// track applies the caller's side of the contract (TrackAdmitted):
+	// an admitted in-space candidate joins the matrix.
+	track := func(counts []int, c BurstCandidate, out Outcome) {
+		if out.Verdict == Admit && int(c.Class) < space.Classes && int(c.Level) < space.Levels {
+			counts[space.CellIndex(c.Class, c.Level)]++
 		}
 	}
 
@@ -90,6 +228,7 @@ func TestAdmitBurstMatchesPerPacket(t *testing.T) {
 	perPkt := make([]Outcome, 0, n)
 	countsA := make([]int, space.Dim())
 	for bi := 1; bi < len(bounds); bi++ {
+		tc.rebase(bi, countsA)
 		for g := bounds[bi-1]; g < bounds[bi]; g++ {
 			c := cands[g]
 			out, err := mbA.Admit("ap", excr.Arrival{
@@ -99,11 +238,8 @@ func TestAdmitBurstMatchesPerPacket(t *testing.T) {
 				t.Fatal(err)
 			}
 			perPkt = append(perPkt, out)
-			if out.Verdict == Admit {
-				countsA[space.CellIndex(c.Class, c.Level)]++
-			}
+			track(countsA, c, out)
 		}
-		decay(countsA)
 	}
 
 	// Burst path on middlebox B.
@@ -111,21 +247,24 @@ func TestAdmitBurstMatchesPerPacket(t *testing.T) {
 	countsB := make([]int, space.Dim())
 	var bs BurstScratch
 	var dst []Outcome
+	clfAdmits := regB.Counter("exbox_cell_ap_clf_admit_total")
+	clfRejects := regB.Counter("exbox_cell_ap_clf_reject_total")
 	for bi := 1; bi < len(bounds); bi++ {
+		tc.rebase(bi, countsB)
 		lo, hi := bounds[bi-1], bounds[bi]
+		before := clfAdmits.Value() + clfRejects.Value()
 		var err error
 		dst, err = mbB.AdmitBurst("ap", excr.MatrixFromCounts(space, countsB), cands[lo:hi], dst, &bs)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := clfAdmits.Value() + clfRejects.Value() - before; got != int64(hi-lo) {
+			t.Fatalf("burst %d of %d candidates recorded %d classifier decisions", bi, hi-lo, got)
+		}
 		for k, out := range dst {
 			burst = append(burst, out)
-			if out.Verdict == Admit {
-				c := cands[lo+k]
-				countsB[space.CellIndex(c.Class, c.Level)]++
-			}
+			track(countsB, cands[lo+k], out)
 		}
-		decay(countsB)
 	}
 
 	if len(perPkt) != len(burst) {
@@ -142,10 +281,19 @@ func TestAdmitBurstMatchesPerPacket(t *testing.T) {
 			rejects++
 		}
 	}
-	// The sequence must exercise both verdicts, or the cascade's
-	// breaker logic was never on trial.
+	// The sequence must exercise both verdicts, or the matrix never
+	// moved (or never stopped moving) within a burst.
 	if admits == 0 || rejects == 0 {
 		t.Fatalf("degenerate workload: %d admits, %d rejects", admits, rejects)
+	}
+	poison := 0
+	for _, c := range cands {
+		if c.Class == poisonClass {
+			poison++
+		}
+	}
+	if got := regB.Counter("exbox_bad_features_total").Value(); got != int64(poison) {
+		t.Fatalf("bad-features counter %d, want %d", got, poison)
 	}
 
 	// Audit rings: same records in the same order, modulo timestamps.
@@ -168,9 +316,8 @@ func TestAdmitBurstMatchesPerPacket(t *testing.T) {
 	}
 }
 
-// TestAdmitBurstBootstrap covers the one-pass fast path: a
-// bootstrapping cell admits everything, so the whole burst commits on
-// the first assume-admit pass with Bootstrap flagged on every outcome.
+// TestAdmitBurstBootstrap: a bootstrapping cell admits the whole burst
+// with Bootstrap flagged on every outcome.
 func TestAdmitBurstBootstrap(t *testing.T) {
 	mb := New(excr.DefaultSpace, Discontinue)
 	reg := obs.NewRegistry()
@@ -196,6 +343,59 @@ func TestAdmitBurstBootstrap(t *testing.T) {
 	}
 	if got := reg.Ring().Len(); got != 10 {
 		t.Fatalf("ring has %d records, want 10", got)
+	}
+}
+
+// TestAdmitLatencySamplingAcrossBurstSizes pins the 1-in-N latency
+// sample to the decision count, whatever the burst sizes: the decisions
+// whose audit sequence number is a multiple of N are the sampled ones.
+// Bursts of 2 after a single Admit (every burst starts on an odd
+// sequence) and back-to-back bursts of 32 (every burst spans two
+// multiples of 16) must both leave decisions/N samples in the histogram.
+func TestAdmitLatencySamplingAcrossBurstSizes(t *testing.T) {
+	const rate = 16
+	for _, tc := range []struct {
+		name   string
+		lead   int // single Admits first
+		size   int
+		bursts int
+	}{
+		{"ones", 0, 1, 160},
+		{"odd-start pairs", 1, 2, 160},
+		{"bursts of 32", 0, 32, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mb := New(excr.DefaultSpace, Discontinue)
+			reg := obs.NewRegistry()
+			mb.Instrument(reg, 64)
+			if got := mb.SetAdmitLatencySampling(rate); got != rate {
+				t.Fatalf("effective rate %d, want %d", got, rate)
+			}
+			if _, err := mb.AddCell("ap", classifier.DefaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+			base := excr.NewMatrix(excr.DefaultSpace)
+			for i := 0; i < tc.lead; i++ {
+				if _, err := mb.Admit("ap", excr.Arrival{Matrix: base}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cands := make([]BurstCandidate, tc.size)
+			var bs BurstScratch
+			var dst []Outcome
+			for i := 0; i < tc.bursts; i++ {
+				var err error
+				if dst, err = mb.AdmitBurst("ap", base, cands, dst, &bs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			decisions := tc.lead + tc.size*tc.bursts
+			// Sequence numbers 0, N, 2N, ... below decisions.
+			want := int64((decisions + rate - 1) / rate)
+			if got := reg.Histogram("exbox_admit_seconds", nil).Count(); got != want {
+				t.Fatalf("%d decisions at 1-in-%d left %d latency samples, want %d", decisions, rate, got, want)
+			}
+		})
 	}
 }
 

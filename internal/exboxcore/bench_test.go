@@ -64,6 +64,53 @@ func BenchmarkAdmitParallel(b *testing.B) {
 	})
 }
 
+// benchAdmitBurst32 times one 32-candidate AdmitBurst (classes cycling)
+// on a worker-owned scratch from the given base matrix, and checks the
+// burst has the verdict shape the benchmark is named for: every
+// candidate admitted, or some of each. ns/op is per burst, not per
+// candidate.
+func benchAdmitBurst32(b *testing.B, base excr.Matrix, allAdmit bool) {
+	mb := benchMiddlebox(b)
+	cands := make([]BurstCandidate, 32)
+	for i := range cands {
+		cands[i].Class = excr.AppClass(i % excr.DefaultSpace.Classes)
+	}
+	var bs BurstScratch
+	dst, err := mb.AdmitBurst("ap", base, cands, nil, &bs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	admits := 0
+	for _, out := range dst {
+		if out.Verdict == Admit {
+			admits++
+		}
+	}
+	if admits == 0 || (admits == len(cands)) != allAdmit {
+		b.Fatalf("burst admitted %d of %d candidates", admits, len(cands))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, err = mb.AdmitBurst("ap", base, cands, dst, &bs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAdmitBurst32Mixed is a burst that crosses the region
+// boundary: the first candidates are admitted, each moving the matrix,
+// until the cell fills and the rest are rejected.
+func BenchmarkAdmitBurst32Mixed(b *testing.B) {
+	benchAdmitBurst32(b, excr.NewMatrix(excr.DefaultSpace).Set(excr.Streaming, 0, 12), false)
+}
+
+// BenchmarkAdmitBurst32Admit is the verdict-homogeneous burst: an empty
+// cell admits all 32, rebuilding the matrix after every one.
+func BenchmarkAdmitBurst32Admit(b *testing.B) {
+	benchAdmitBurst32(b, excr.NewMatrix(excr.DefaultSpace), true)
+}
+
 // BenchmarkAdmitInstrumented is BenchmarkAdmitParallel with the full
 // obs hookup attached (counters, margin + latency histograms, audit
 // ring). Comparing the two shows the cost of always-on telemetry; the

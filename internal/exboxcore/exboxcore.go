@@ -242,8 +242,9 @@ type mbObs struct {
 	admitSeconds *obs.Histogram
 
 	// latMask is the admission-latency sampling mask: a decision is
-	// timed when ring.Seq()&latMask == 0, i.e. 1 in latMask+1
-	// (default 15 → 1-in-16). Power-of-two-minus-one by construction
+	// sampled when its audit sequence number &latMask == 0, i.e. 1 in
+	// latMask+1 (default 15 → 1-in-16), and a burst is timed when it
+	// holds such a decision. Power-of-two-minus-one by construction
 	// (SetAdmitLatencySampling); set before traffic, read without
 	// synchronization on the hot path.
 	latMask uint64

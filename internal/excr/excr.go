@@ -242,15 +242,9 @@ func (m Matrix) AppendKey(dst []byte) []byte {
 // Counts returns a copy of the flat cell counts in class-major order.
 func (m Matrix) Counts() []int {
 	out := make([]int, len(m.counts))
-	m.CopyCounts(out)
+	copy(out, m.counts)
 	return out
 }
-
-// CopyCounts copies the flat cell counts into dst like the builtin
-// copy (the shorter length wins) and returns the number copied: Counts
-// for callers that own a reusable buffer, as the burst admission path
-// does.
-func (m Matrix) CopyCounts(dst []int) int { return copy(dst, m.counts) }
 
 // MatrixFromCounts builds a matrix over s from flat class-major cell
 // counts, the inverse of Counts. The slice is copied. It panics on a

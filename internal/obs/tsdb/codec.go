@@ -1,10 +1,7 @@
 package tsdb
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 )
 
@@ -29,171 +26,4 @@ func (p *Point) UnmarshalJSON(b []byte) error {
 	}
 	p.UnixNanos, p.Value = t, v
 	return nil
-}
-
-// Binary timeline dump, the /timeline.bin payload. Same envelope
-// discipline as internal/snapshot — magic, version, length, CRC-32C
-// (Castagnoli) over the payload — so a cluster-mode aggregator can
-// reject torn or corrupt dumps before parsing a byte:
-//
-//	magic "EXTL" | u16 version | u64 payloadLen | payload | u32 CRC
-//
-// payload:
-//
-//	u32 nSeries, then per series:
-//	  u16 nameLen | name | u8 kind | u64 resolutionNanos |
-//	  u32 nPoints | nPoints × (i64 unixNanos, f64 value)
-//
-// All integers little-endian; floats are IEEE-754 bits.
-const (
-	binMagic   = "EXTL"
-	binVersion = 1
-)
-
-var (
-	// ErrCorrupt reports a structurally invalid or CRC-failing dump.
-	ErrCorrupt = errors.New("tsdb: corrupt timeline dump")
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
-)
-
-// EncodeBinary renders series as a binary timeline dump.
-func EncodeBinary(series []SeriesDump) []byte {
-	payload := make([]byte, 0, 1024)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(series)))
-	for _, s := range series {
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(s.Name)))
-		payload = append(payload, s.Name...)
-		var kind byte
-		if s.Kind == KindDelta.String() {
-			kind = byte(KindDelta)
-		}
-		payload = append(payload, kind)
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(s.ResolutionSeconds*1e9))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(s.Points)))
-		for _, p := range s.Points {
-			payload = binary.LittleEndian.AppendUint64(payload, uint64(p.UnixNanos))
-			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(p.Value))
-		}
-	}
-	out := make([]byte, 0, len(binMagic)+2+8+len(payload)+4)
-	out = append(out, binMagic...)
-	out = binary.LittleEndian.AppendUint16(out, binVersion)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	return out
-}
-
-// DecodeBinary parses a binary timeline dump. Decoding is sticky and
-// bounds-checked: any truncation, length skew or CRC mismatch returns
-// ErrCorrupt (wrapped with detail) and never panics.
-func DecodeBinary(data []byte) ([]SeriesDump, error) {
-	head := len(binMagic) + 2 + 8
-	if len(data) < head+4 {
-		return nil, fmt.Errorf("%w: %d bytes, want >= %d", ErrCorrupt, len(data), head+4)
-	}
-	if string(data[:len(binMagic)]) != binMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if v := binary.LittleEndian.Uint16(data[len(binMagic):]); v != binVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrCorrupt, v, binVersion)
-	}
-	plen := binary.LittleEndian.Uint64(data[len(binMagic)+2:])
-	if plen != uint64(len(data)-head-4) {
-		return nil, fmt.Errorf("%w: payload length %d, have %d", ErrCorrupt, plen, len(data)-head-4)
-	}
-	payload := data[head : head+int(plen)]
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(data[head+int(plen):]); got != want {
-		return nil, fmt.Errorf("%w: CRC %08x, want %08x", ErrCorrupt, got, want)
-	}
-	r := binReader{buf: payload}
-	n := r.u32()
-	// Each series costs at least 2+1+8+4 bytes; a count beyond that
-	// bound is a lie, not a big dump.
-	if uint64(n) > uint64(len(payload))/15 {
-		return nil, fmt.Errorf("%w: series count %d", ErrCorrupt, n)
-	}
-	out := make([]SeriesDump, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var s SeriesDump
-		s.Name = r.str()
-		kind := Kind(r.u8())
-		resNanos := r.u64()
-		np := r.u32()
-		if uint64(np) > uint64(len(r.buf)-r.off)/16 {
-			return nil, fmt.Errorf("%w: series %q point count %d", ErrCorrupt, s.Name, np)
-		}
-		if r.err != nil {
-			break
-		}
-		s.Kind = kind.String()
-		s.ResolutionSeconds = float64(resNanos) / 1e9
-		s.Points = make([]Point, np)
-		for j := range s.Points {
-			s.Points[j] = Point{UnixNanos: int64(r.u64()), Value: math.Float64frombits(r.u64())}
-		}
-		out = append(out, s)
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, r.err)
-	}
-	if r.off != len(r.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.buf)-r.off)
-	}
-	return out, nil
-}
-
-// binReader is a sticky-error little-endian cursor: the first
-// out-of-bounds read latches the error and every later read returns
-// zero, so decode loops need one error check at the end, not one per
-// field.
-type binReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *binReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.buf)-r.off < n {
-		r.err = fmt.Errorf("truncated at offset %d (want %d bytes, have %d)", r.off, n, len(r.buf)-r.off)
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *binReader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *binReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *binReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *binReader) str() string {
-	b := r.take(2)
-	if b == nil {
-		return ""
-	}
-	return string(r.take(int(binary.LittleEndian.Uint16(b))))
 }

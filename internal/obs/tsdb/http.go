@@ -38,21 +38,3 @@ func (db *DB) Handler() http.Handler {
 		json.NewEncoder(w).Encode(out)
 	})
 }
-
-// BinaryHandler serves the full store as one binary timeline dump at
-// /timeline.bin (see EncodeBinary) — the compact form a cluster-mode
-// aggregator pulls instead of JSON. The same query filters as Handler
-// apply.
-func (db *DB) BinaryHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		q := req.URL.Query()
-		out := db.Query(q.Get("metric"), q.Get("cell"), sinceNanos(q.Get("since"), time.Now()))
-		buf := EncodeBinary(out)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-		if req.Method == http.MethodHead {
-			return
-		}
-		w.Write(buf)
-	})
-}

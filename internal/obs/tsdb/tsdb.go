@@ -4,9 +4,8 @@
 // histogram (via Registry.Sample) into one power-of-two ring of
 // (unixNanos, value) points per metric, so "what did this series do
 // over the last 15 minutes" is answerable from inside the process —
-// the substrate /debug/timeline serves as JSON, /timeline.bin serves
-// as a compact binary dump for future cluster-mode aggregation, and
-// post-mortems correlate against the flight recorder's event journal.
+// the substrate /debug/timeline serves as JSON and post-mortems
+// correlate against the flight recorder's event journal.
 //
 // Semantics follow the metric kind: counters (and histogram _count
 // fan-outs) are cumulative totals, so the store records the
@@ -203,8 +202,8 @@ func (db *DB) tick(nowNanos int64) {
 	})
 }
 
-// SeriesDump is one series as Query returns it and the JSON/binary
-// codecs carry it.
+// SeriesDump is one series as Query returns it and /debug/timeline
+// carries it.
 type SeriesDump struct {
 	Name              string  `json:"name"`
 	Kind              string  `json:"kind"`

@@ -161,59 +161,6 @@ func TestQueryFilters(t *testing.T) {
 	}
 }
 
-// TestBinaryRoundTrip pins Encode/DecodeBinary as inverses, including
-// non-finite values and empty dumps.
-func TestBinaryRoundTrip(t *testing.T) {
-	in := []SeriesDump{
-		{Name: "a_total", Kind: "delta", ResolutionSeconds: 1, Points: []Point{{1 * sec, 3}, {2 * sec, 0.25}}},
-		{Name: "b", Kind: "gauge", ResolutionSeconds: 0.25, Points: []Point{{3 * sec, -7.5}}},
-		{Name: "empty", Kind: "gauge", ResolutionSeconds: 1, Points: []Point{}},
-	}
-	buf := EncodeBinary(in)
-	out, err := DecodeBinary(buf)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	// DeepEqual quirk: Encode/Decode turn empty non-nil slices into
-	// empty slices as well, so compare structurally.
-	if len(out) != len(in) {
-		t.Fatalf("series: got %d, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i].Name != in[i].Name || out[i].Kind != in[i].Kind ||
-			out[i].ResolutionSeconds != in[i].ResolutionSeconds ||
-			!reflect.DeepEqual(out[i].Points, in[i].Points) {
-			t.Fatalf("series %d: got %+v, want %+v", i, out[i], in[i])
-		}
-	}
-	if _, err := DecodeBinary(EncodeBinary(nil)); err != nil {
-		t.Fatalf("empty dump: %v", err)
-	}
-}
-
-// TestBinaryDecodeCorruption flips bytes and truncates at every
-// prefix: DecodeBinary must return ErrCorrupt (never panic, never
-// accept).
-func TestBinaryDecodeCorruption(t *testing.T) {
-	buf := EncodeBinary([]SeriesDump{
-		{Name: "a_total", Kind: "delta", ResolutionSeconds: 1, Points: []Point{{1 * sec, 3}, {2 * sec, 4}}},
-	})
-	for cut := 0; cut < len(buf); cut++ {
-		if _, err := DecodeBinary(buf[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	for i := 0; i < len(buf); i++ {
-		mut := append([]byte(nil), buf...)
-		mut[i] ^= 0x40
-		if out, err := DecodeBinary(mut); err == nil {
-			// A flipped float payload bit that still CRC-matches is
-			// impossible; any accepted mutation is a checksum hole.
-			t.Fatalf("byte flip at %d accepted: %+v", i, out)
-		}
-	}
-}
-
 // TestPointJSON pins the compact pair form both ways and the
 // non-finite clamp.
 func TestPointJSON(t *testing.T) {
@@ -265,26 +212,18 @@ func TestHandlerAgainstRegistry(t *testing.T) {
 		t.Fatalf("points: got %v, want %v", out[0].Points, want)
 	}
 
-	// The binary endpoint serves the same store; HEAD carries the
-	// length and no body.
+	// Unfiltered, the endpoint serves the whole store.
 	rec = httptest.NewRecorder()
-	db.BinaryHandler().ServeHTTP(rec, httptest.NewRequest("HEAD", "/timeline.bin", nil))
-	if rec.Body.Len() != 0 || rec.Header().Get("Content-Length") == "" || rec.Header().Get("Content-Length") == "0" {
-		t.Fatalf("HEAD: body %d bytes, length %q", rec.Body.Len(), rec.Header().Get("Content-Length"))
+	db.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/timeline", nil))
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("json: %v (%.200s)", err, rec.Body.String())
 	}
-	rec = httptest.NewRecorder()
-	db.BinaryHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/timeline.bin", nil))
-	dec, err := DecodeBinary(rec.Body.Bytes())
-	if err != nil {
-		t.Fatalf("binary decode: %v", err)
-	}
-	if len(dec) != 2 { // counter series + gauge series
-		t.Fatalf("binary series: got %d, want 2", len(dec))
+	if len(out) != 2 { // counter series + gauge series
+		t.Fatalf("unfiltered series: got %d, want 2", len(out))
 	}
 }
 
-// TestConcurrentScrapeUnderLoad races ticks against JSON and binary
-// scrapes — run under -race this is the handler's data-race proof.
+// TestConcurrentScrapeUnderLoad races ticks against JSON scrapes — run under -race this is the handler's data-race proof.
 func TestConcurrentScrapeUnderLoad(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("exbox_cell_ap0_admit_total")
@@ -318,12 +257,6 @@ func TestConcurrentScrapeUnderLoad(t *testing.T) {
 				db.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/timeline", nil))
 				if !bytes.HasPrefix(bytes.TrimSpace(rec.Body.Bytes()), []byte("[")) {
 					t.Errorf("non-array response: %.80s", rec.Body.String())
-					return
-				}
-				rec = httptest.NewRecorder()
-				db.BinaryHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/timeline.bin", nil))
-				if _, err := DecodeBinary(rec.Body.Bytes()); err != nil {
-					t.Errorf("binary decode under load: %v", err)
 					return
 				}
 			}
