@@ -63,10 +63,11 @@ type Metrics struct {
 	CVScore      *obs.GaugeFloat // most recent cross-validation accuracy
 	Graduations  *obs.Counter    // bootstrap -> online phase transitions
 
-	// Solver cache behavior, accumulated per fit when model health is
-	// enabled and the learner exposes solver accounting.
+	// Solver behavior, accumulated per fit when model health is enabled
+	// and the learner exposes solver accounting.
 	KernelCacheHits   *obs.Counter // kernel-row lookups served from cache
 	KernelCacheMisses *obs.Counter // kernel rows computed
+	CappedFits        *obs.Counter // published fits that hit MaxIter before converging
 
 	// BadFeatures counts observations and decisions rejected at the
 	// feature boundary: a non-finite feature row, or a model that
@@ -613,16 +614,21 @@ func (ac *AdmittanceClassifier) fit(req *fitRequest) error {
 	}
 	// Calibrate the depth normalizer: the largest absolute decision
 	// value over the training set. Margins divided by it are roughly
-	// comparable across independently trained cells.
+	// comparable across independently trained cells. The svm solver ends
+	// holding every training decision value and reports their maximum;
+	// other learners' models are scored over the training rows.
 	fast, _ := m.(learner.FastPredictor)
-	calib := 0.0
-	if fast != nil {
+	calib, known := 0.0, false
+	if tm, ok := m.(interface{ MaxTrainDecision() (float64, bool) }); ok {
+		calib, known = tm.MaxTrainDecision()
+	}
+	if !known && fast != nil {
 		for _, d := range fast.DecisionBatch(nil, req.x, nil) {
 			if d = math.Abs(d); d > calib {
 				calib = d
 			}
 		}
-	} else {
+	} else if !known {
 		for _, row := range req.x {
 			if d := math.Abs(m.Decision(row)); d > calib {
 				calib = d
@@ -663,6 +669,9 @@ func (ac *AdmittanceClassifier) fit(req *fitRequest) error {
 		if stats != nil {
 			ac.metrics.KernelCacheHits.Add(int64(stats.CacheHits))
 			ac.metrics.KernelCacheMisses.Add(int64(stats.CacheMisses))
+			if stats.Capped {
+				ac.metrics.CappedFits.Inc()
+			}
 		}
 		nsv, _ := m.(interface{ NumSV() int })
 		h.record(retrainRecordOf(version, len(req.x), ac.LastCVScore(), elapsed, nsv, stats))

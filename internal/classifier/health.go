@@ -86,9 +86,11 @@ type RetrainRecord struct {
 	// Seconds is the wall time of the whole fit, training plus depth
 	// calibration.
 	Seconds float64 `json:"seconds"`
-	// Solve is the solver's phase split (kernel/cache/shrink, warm vs
-	// cold); nil for learners without solver accounting (the decision
-	// tree ablation).
+	// Solve is the solver's account of the fit: seeding and kernel
+	// time, cache hits, pair updates, rows shrunk, warm vs cold, and the
+	// violation gap it ended on with whether that was MaxIter's doing
+	// (Capped) rather than convergence; nil for learners without solver
+	// accounting (the decision tree ablation).
 	Solve *svm.SolveStats `json:"solve,omitempty"`
 }
 

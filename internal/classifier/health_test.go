@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"exbox/internal/excr"
+	"exbox/internal/obs"
 	"exbox/internal/svm"
 )
 
@@ -183,5 +184,46 @@ func TestEnableHealthFirstCallWins(t *testing.T) {
 	snap2, _ := ac.HealthSnapshot()
 	if snap2.DriftReady != snap1.DriftReady || snap2.DriftWindows != snap1.DriftWindows {
 		t.Fatalf("second EnableHealth reset the monitor: %+v vs %+v", snap1, snap2)
+	}
+}
+
+// TestCappedFitIsVisible pins the "retrain did not converge" signal: a
+// fit that ends on svm.Config.MaxIter still publishes its model, and
+// says so in the retrain record and on the CappedFits counter; a fit
+// that converges touches neither.
+func TestCappedFitIsVisible(t *testing.T) {
+	for _, capped := range []bool{true, false} {
+		cfg := DefaultConfig()
+		if capped {
+			cfg.SVM.MaxIter = 1
+		}
+		ac := New(excr.DefaultSpace, cfg)
+		ac.EnableHealth(HealthConfig{})
+		var fits, cappedFits obs.Counter
+		ac.SetMetrics(Metrics{Fits: &fits, CappedFits: &cappedFits})
+		feedRandom(ac, wifiOracle(), 10, 21)
+		if err := ac.ForceOnline(); err != nil {
+			t.Fatal(err)
+		}
+		snap, _ := ac.HealthSnapshot()
+		last := snap.History[len(snap.History)-1].Solve
+		if last == nil {
+			t.Fatal("retrain record carries no solver stats")
+		}
+		if capped {
+			if !last.Capped || last.Iters != 1 || !(last.Gap >= cfg.SVM.Tol) {
+				t.Fatalf("MaxIter=1 fit: record %+v, want capped after 1 iteration with gap >= Tol", last)
+			}
+			if cappedFits.Value() != fits.Value() || fits.Value() == 0 {
+				t.Fatalf("MaxIter=1: %d of %d fits counted as capped, want all", cappedFits.Value(), fits.Value())
+			}
+		} else {
+			if last.Capped || !(last.Gap < cfg.SVM.Tol) {
+				t.Fatalf("converged fit: record %+v, want gap < Tol and not capped", last)
+			}
+			if cappedFits.Value() != 0 {
+				t.Fatalf("converged fits counted as capped: %d", cappedFits.Value())
+			}
+		}
 	}
 }

@@ -519,8 +519,12 @@ func TestAdmitObserveMixedSteadyStateAllocs(t *testing.T) {
 	mb := New(excr.DefaultSpace, Discontinue)
 	cfg := classifier.DefaultConfig()
 	// Deferred retraining keeps fits off the measured path, as in the
-	// live gateway; graduation is forced explicitly.
+	// live gateway; graduation is forced explicitly. No batch may come
+	// due among the 21 observations below either: AllocsPerRun counts
+	// the whole process, so a background fit that happened to run inside
+	// the window was charged to it (1 run in ~200).
 	cfg.DeferRetrain = true
+	cfg.BatchSize = 1 << 20
 	mb.AddCell("ap", cfg)
 	o := wifiOracle()
 	rng := mathx.NewRand(7)

@@ -413,6 +413,7 @@ func (mb *Middlebox) instrumentCellLocked(c *Cell) {
 		Fits:               reg.Counter(p + "clf_fits_total"),
 		WarmFits:           reg.Counter(p + "clf_warm_fits_total"),
 		FitErrors:          reg.Counter(p + "clf_fit_errors_total"),
+		CappedFits:         reg.Counter(p + "clf_fits_capped_total"),
 		FitSeconds:         reg.Histogram(p+"clf_fit_seconds", obs.ExpBuckets(1e-5, 4, 12)),
 		CVChecks:           reg.Counter(p + "clf_cv_checks_total"),
 		CVScore:            reg.GaugeFloat(p + "clf_cv_score"),

@@ -75,9 +75,9 @@ var (
 // keys is nil, or for a learner with nothing to seed). Nil keys is a
 // cold fit that leaves any kept solver state untouched — what bootstrap
 // cross-validation asks for, since fold fits must not pollute the seed.
-// stats, when non-nil, is overwritten with the solver's per-phase
-// accounting (kernel/cache/shrink split, iteration counts, warm-vs-
-// cold); learners without solver phases (the decision tree) leave it
+// stats, when non-nil, is overwritten with the solver's accounting
+// (seeding/kernel time, cache hits, pair updates, final violation,
+// warm-vs-cold); learners without a solver (the decision tree) leave it
 // untouched, its Rows still zero.
 type Learner interface {
 	Train(x [][]float64, y []float64, keys []string, stats *svm.SolveStats) (Predictor, bool, error)

@@ -96,8 +96,8 @@ func Encode(ps *classifier.PersistState) []byte {
 		w.f64(m.Config.C)
 		w.f64(m.Config.Gamma)
 		w.f64(m.Config.Tol)
-		w.f64(m.Config.Eps)
-		w.u64(uint64(m.Config.MaxPasses))
+		w.f64(0) // retired svm.Config.Eps
+		w.u64(0) // retired svm.Config.MaxPasses
 		w.u64(uint64(m.Config.MaxIter))
 		w.u64(uint64(m.Config.CacheRows))
 		w.bool(m.Config.RFF)
@@ -231,8 +231,8 @@ func Decode(data []byte) (*classifier.PersistState, error) {
 		m.Config.C = r.f64()
 		m.Config.Gamma = r.f64()
 		m.Config.Tol = r.f64()
-		m.Config.Eps = r.f64()
-		m.Config.MaxPasses = r.count()
+		_ = r.f64() // retired svm.Config.Eps
+		_ = r.u64() // retired svm.Config.MaxPasses
 		m.Config.MaxIter = r.count()
 		m.Config.CacheRows = r.count()
 		m.Config.RFF = r.bool()

@@ -9,10 +9,12 @@ import (
 
 // Retraining benchmarks at ExBox's paper-realistic online batch sizes:
 // a cell has n observed tuples, a batch of B new flows lands, and the
-// Admittance Classifier refits on n+B rows. Cold is the pre-PR
-// behavior (SMO from zero); Warm seeds the solver with the previous
-// fit's dual variables. The CI perf gate (internal/tools/benchcheck)
-// tracks both against BENCH_baseline.json.
+// Admittance Classifier refits on n+B rows. Cold solves from zero; Warm
+// seeds the solver with the previous fit's dual variables. The set is
+// an easy one and the seed never loses a row: see
+// BenchmarkRetrainWindow1500 for the refit the online loop pays. The CI
+// perf gate (internal/tools/benchcheck) tracks all of them against
+// BENCH_baseline.json.
 
 // shellData builds a dim-d dataset with a spherical boundary —
 // curved like the ExCR boundary, so the RBF kernel is doing real work.

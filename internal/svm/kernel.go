@@ -1,13 +1,14 @@
 // Package svm implements the support-vector-machine learner at the
 // heart of ExBox's Admittance Classifier: a from-scratch soft-margin
-// binary SVM trained with Platt's Sequential Minimal Optimization
-// (SMO), with linear and Gaussian (RBF) kernels, feature
+// binary SVM trained by sequential minimal optimization the way libsvm
+// runs it (maximal-violating pair, second-order working-set selection;
+// see trainer.solve), with linear and Gaussian (RBF) kernels, feature
 // standardization, and n-fold cross-validation.
 //
 // The paper uses an off-the-shelf SVM library; this package plays that
 // role with stdlib-only Go. Problem sizes in ExBox are small (tens to
-// a few thousand training tuples, dimension k·r+2), so a careful SMO
-// with a full kernel cache is more than fast enough and keeps the
+// a few thousand training tuples, dimension k·r+2), so kernel rows are
+// computed on demand and kept for the solve, which keeps the
 // training-latency benchmarks of Section 5.3 meaningful.
 package svm
 

@@ -1,11 +1,9 @@
 package svm
 
 // rowLRU is a bounded least-recently-used cache of kernel-matrix rows,
-// used when the training set is too large for a full n×n matrix. SMO
-// concentrates its steps on a small working set, and the LRU keeps
-// exactly that set resident: every Get refreshes recency, and rows of
-// examples shrunk out of the working set are removed eagerly so the
-// budget is spent on rows the solver will actually touch again.
+// used when the training set is too large to keep every touched row.
+// The solver concentrates its pair updates on the support vectors, and
+// the LRU keeps exactly that set resident: every Get refreshes recency.
 type rowLRU struct {
 	cap  int
 	m    map[int]*lruEntry
@@ -51,14 +49,6 @@ func (c *rowLRU) Put(i int, row []float64) {
 	e := &lruEntry{idx: i, row: row}
 	c.m[i] = e
 	c.pushFront(e)
-}
-
-// Remove drops the row for training index i if cached.
-func (c *rowLRU) Remove(i int) {
-	if e, ok := c.m[i]; ok {
-		c.unlink(e)
-		delete(c.m, i)
-	}
 }
 
 // Len returns the number of cached rows.

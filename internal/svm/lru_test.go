@@ -30,35 +30,11 @@ func TestRowLRUBasics(t *testing.T) {
 	}
 }
 
-func TestRowLRURemove(t *testing.T) {
-	c := newRowLRU(4)
-	for i := 0; i < 4; i++ {
-		c.Put(i, []float64{float64(i)})
-	}
-	c.Remove(0) // head-adjacent
-	c.Remove(3) // most recent
-	c.Remove(9) // absent: no-op
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
-	}
-	// The list must still be intact: fill and evict through it.
-	c.Put(5, []float64{5})
-	c.Put(6, []float64{6})
-	c.Put(7, []float64{7}) // evicts 1, the oldest survivor
-	if _, ok := c.Get(1); ok {
-		t.Fatal("row 1 should have been evicted")
-	}
-	for _, i := range []int{2, 5, 6, 7} {
-		if _, ok := c.Get(i); !ok {
-			t.Fatalf("row %d should be cached", i)
-		}
-	}
-}
-
-// TestCachedRowsMatchUncached is the regression test that let the old
-// per-step error "pinning" in takeStep go: kernel rows served through
-// the LRU cache must agree bitwise with freshly computed ones, whether
-// they were cached, evicted and recomputed, or never cached at all.
+// TestCachedRowsMatchUncached is what lets the solver update its
+// gradient incrementally from whatever kRow returns: kernel rows served
+// through the LRU cache must agree bitwise with freshly computed ones,
+// whether they were cached, evicted and recomputed, or never cached at
+// all.
 func TestCachedRowsMatchUncached(t *testing.T) {
 	x, y := ringData(64, 31)
 	cfg := DefaultConfig()
@@ -85,5 +61,34 @@ func TestCachedRowsMatchUncached(t *testing.T) {
 	}
 	if lru.lru.Len() > 3 {
 		t.Fatalf("lru grew past its capacity: %d", lru.lru.Len())
+	}
+}
+
+// TestSolveSameThroughLRU runs one problem on the keep-every-row path
+// and on a 3-row LRU that evicts nearly every row before its next use,
+// including the support-vector rows unshrink rebuilds gradients from:
+// both must land on the same duals bit for bit.
+func TestSolveSameThroughLRU(t *testing.T) {
+	x, y := overlapData(300, 4, 33)
+	cfg := DefaultConfig()
+	xs := FitScaler(x).TransformAll(x)
+	var stats SolveStats
+	full := newTrainer(cfg, 0.25, xs, y)
+	full.stats = &stats
+	lru := newTrainer(cfg, 0.25, xs, y)
+	lru.kfull = nil
+	lru.lru = newRowLRU(3)
+	full.solve()
+	lru.solve()
+	if stats.Shrunk == 0 || stats.Capped {
+		t.Fatalf("want a converged solve that parked rows, got %+v", stats)
+	}
+	for i := range full.alpha {
+		if full.alpha[i] != lru.alpha[i] {
+			t.Fatalf("alpha[%d]: %v with every row kept, %v through the LRU", i, full.alpha[i], lru.alpha[i])
+		}
+	}
+	if full.b != lru.b {
+		t.Fatalf("threshold: %v with every row kept, %v through the LRU", full.b, lru.b)
 	}
 }

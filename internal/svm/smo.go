@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 )
 
@@ -19,15 +18,12 @@ type Config struct {
 	// Gamma is the RBF kernel width (ignored for Linear). When 0 it
 	// defaults to 1/dim at training time, the usual libsvm default.
 	Gamma float64
-	// Tol is the KKT violation tolerance used by SMO.
+	// Tol is the stopping tolerance: the solve ends when the maximal
+	// KKT violation m(α) − M(α) falls below it (see trainer.solve).
 	Tol float64
-	// Eps is the minimum alpha step considered progress.
-	Eps float64
-	// MaxPasses bounds full sweeps over the training set without
-	// progress before SMO gives up and returns the current model.
-	MaxPasses int
-	// MaxIter is a hard ceiling on examine steps, a safety valve
-	// against pathological data. 0 means a generous default.
+	// MaxIter is a hard ceiling on pair updates, a safety valve against
+	// pathological data; a fit that hits it returns its current point
+	// and says so in SolveStats.Capped. 0 means max(20000, 200·rows).
 	MaxIter int
 	// CacheRows bounds the kernel-row LRU cache used when the training
 	// set is too large for a full kernel matrix (see
@@ -57,12 +53,10 @@ type Config struct {
 // because the ExCR boundary is curved in traffic-matrix space.
 func DefaultConfig() Config {
 	return Config{
-		Kernel:    RBF,
-		C:         10,
-		Gamma:     0, // 1/dim at train time
-		Tol:       1e-3,
-		Eps:       1e-5,
-		MaxPasses: 5,
+		Kernel: RBF,
+		C:      10,
+		Gamma:  0, // 1/dim at train time
+		Tol:    1e-3,
 	}
 }
 
@@ -102,6 +96,20 @@ type Model struct {
 	// (Config.RFF; see rff.go), nil when disabled or when its readout
 	// fit failed.
 	rff *rffModel
+
+	// trainMax is max |Decision| over the rows the model was fitted on,
+	// read off the solver's final gradient; 0 when unknown (a model
+	// rebuilt from state, or one whose alphas were pruned after the
+	// solve).
+	trainMax float64
+}
+
+// MaxTrainDecision returns the largest |Decision(row)| over the training
+// rows, to within solver rounding, without scoring them again: the
+// solver already holds every training decision value when it stops. ok
+// is false when the model does not know it.
+func (m *Model) MaxTrainDecision() (v float64, ok bool) {
+	return m.trainMax, m.trainMax > 0
 }
 
 // Train fits a soft-margin SVM on rows x with labels y in {-1,+1}.
@@ -122,7 +130,7 @@ type WarmState struct {
 	// with Remap; unmatched rows simply start at 0.
 	Alpha []float64
 
-	b      float64 // threshold at the seed's optimum (Platt convention)
+	b      float64 // threshold of the fit, u(x) = Σ αᵢyᵢK(xᵢ,x) − b; seeding does not use it
 	scaler *Scaler // frozen feature standardization of the seed fit
 	n      int     // training rows when the scaler was fitted
 	age    int     // consecutive warm reuses of the frozen scaler
@@ -157,7 +165,7 @@ func (w *WarmState) Usable(n, dim int) bool {
 // Solve fits like Train and additionally accepts and returns solver
 // state, enabling warm-started incremental retraining: pass the state
 // returned by a previous Solve over a prefix of the current rows (new
-// rows implicitly start at α = 0) and SMO starts from that
+// rows implicitly start at α = 0) and the solver starts from that
 // near-optimal point instead of from zero, which is what makes ExBox's
 // after-every-batch refits cheap. A usable warm state also freezes the
 // seed fit's feature standardization, so the kernel geometry of the
@@ -181,8 +189,8 @@ func Solve(cfg Config, x [][]float64, y []float64, warm *WarmState) (*Model, *Wa
 // SolveDetailed is Solve with per-phase accounting: when stats is
 // non-nil it is overwritten with the counters and timings of this fit.
 // The solve itself is bit-identical either way — the counters are
-// plain increments and the timers wrap whole phases, so passing nil
-// (what Solve does) keeps the hot loops free of clock calls.
+// plain increments and the timers wrap whole kernel rows, so passing
+// nil (what Solve does) keeps the loop free of clock calls.
 func SolveDetailed(cfg Config, x [][]float64, y []float64, warm *WarmState, stats *SolveStats) (*Model, *WarmState, error) {
 	if stats != nil {
 		*stats = SolveStats{Rows: len(x)}
@@ -241,19 +249,25 @@ func SolveDetailed(cfg Config, x [][]float64, y []float64, warm *WarmState, stat
 		tr.initWarm(warm)
 	}
 	if stats != nil {
-		stats.InitSeconds = time.Since(tInit).Seconds()
+		// Seeding computes kernel rows; those are the kernel phase's.
+		stats.InitSeconds = time.Since(tInit).Seconds() - stats.KernelSeconds
 	}
 	tr.solve()
 
+	pruned := 0
 	if cfg.PruneTol > 0 {
-		if pruned := pruneAlpha(tr.alpha, y, cfg.PruneTol, cfg.C); pruned > 0 && stats != nil {
+		pruned = pruneAlpha(tr.alpha, y, cfg.PruneTol, cfg.C)
+		if stats != nil {
 			stats.Pruned = pruned
 		}
 	}
 
-	// The trainer follows Platt's convention u(x) = Σ αᵢyᵢK(xᵢ,x) − b;
-	// the model stores the negated threshold so Decision can add it.
+	// The trainer's threshold follows u(x) = Σ αᵢyᵢK(xᵢ,x) − b; the
+	// model stores it negated so Decision can add it.
 	m := buildModel(cfg, gamma, scaler, xs, y, tr.alpha, -tr.b)
+	if pruned == 0 {
+		m.trainMax = tr.maxDecision()
+	}
 	next := &WarmState{
 		Alpha:  append([]float64(nil), tr.alpha...),
 		b:      tr.b,
@@ -268,7 +282,7 @@ func SolveDetailed(cfg Config, x [][]float64, y []float64, warm *WarmState, stat
 	return m, next, nil
 }
 
-// trainer holds the SMO working state.
+// trainer holds the solver's working state.
 type trainer struct {
 	cfg   Config
 	gamma float64
@@ -277,19 +291,21 @@ type trainer struct {
 	n     int
 
 	alpha []float64
-	b     float64
-	errs  []float64 // E_i = f(x_i) - y_i, maintained incrementally
-
-	// active marks the solver's working set. Bound examples whose KKT
-	// condition holds with margin are shrunk out of the sweeps (and the
-	// error-update loop) and re-checked once at the end.
-	active  []bool
-	nActive int
+	// grad is the threshold-free gradient F_i = Σ_j α_j y_j K_ij − y_i,
+	// maintained incrementally; the decision value of training row i is
+	// F_i + y_i − b.
+	grad []float64
+	b    float64 // threshold, u(x) = Σ αᵢyᵢK(xᵢ,x) − b; solve sets it
+	// active lists, ascending, the rows the pair loop still looks at:
+	// shrink parks the rest, whose gradient entries then go stale until
+	// unshrink rebuilds them.
+	active []int
 
 	kern  func(a, b []float64) float64
 	kdiag []float64
-	// Full kernel matrix when n is small enough; otherwise rows are
-	// computed on demand through kRow with a bounded LRU cache.
+	// Kernel rows are computed on demand through kRow and kept: all of
+	// them in kfull when n ≤ kernelCacheLimit, else the lru's most
+	// recently used.
 	kfull [][]float64
 	lru   *rowLRU
 
@@ -299,33 +315,27 @@ type trainer struct {
 	stats *SolveStats
 }
 
-// kernelCacheLimit bounds the n for which a full n×n kernel matrix is
-// precomputed (n=3000 → ~72 MB of float64, acceptable).
+// kernelCacheLimit bounds the n for which kernel rows are kept for the
+// whole solve (n=3000 → at most ~72 MB of float64, and only the rows
+// the solve touches are ever materialized).
 const kernelCacheLimit = 3000
 
-// shrinkMargin is the multiple of Tol by which a bound example must
-// satisfy its KKT condition before shrinking drops it from the working
-// set; a conservative margin keeps the final unshrink pass cheap.
-const shrinkMargin = 10
+// tau replaces a non-positive pair curvature K_ii + K_jj − 2K_ij
+// (duplicate rows, rounding), as in libsvm.
+const tau = 1e-12
 
 func newTrainer(cfg Config, gamma float64, x [][]float64, y []float64) *trainer {
 	n := len(x)
 	tr := &trainer{
-		cfg:     cfg,
-		gamma:   gamma,
-		x:       x,
-		y:       y,
-		n:       n,
-		alpha:   make([]float64, n),
-		errs:    make([]float64, n),
-		active:  make([]bool, n),
-		nActive: n,
-		kern:    kernelFunc(cfg.Kernel, gamma),
-		kdiag:   make([]float64, n),
-	}
-	for i := range tr.errs {
-		tr.errs[i] = -y[i] // f = 0 initially
-		tr.active[i] = true
+		cfg:   cfg,
+		gamma: gamma,
+		x:     x,
+		y:     y,
+		n:     n,
+		alpha: make([]float64, n),
+		grad:  make([]float64, n),
+		kern:  kernelFunc(cfg.Kernel, gamma),
+		kdiag: make([]float64, n),
 	}
 	if n <= kernelCacheLimit {
 		tr.kfull = make([][]float64, n)
@@ -336,7 +346,10 @@ func newTrainer(cfg Config, gamma float64, x [][]float64, y []float64) *trainer 
 		}
 		tr.lru = newRowLRU(rows)
 	}
+	tr.active = make([]int, n)
 	for i := 0; i < n; i++ {
+		tr.active[i] = i
+		tr.grad[i] = -y[i] // α = 0
 		tr.kdiag[i] = tr.kern(x[i], x[i])
 	}
 	return tr
@@ -345,8 +358,7 @@ func newTrainer(cfg Config, gamma float64, x [][]float64, y []float64) *trainer 
 // initWarm seeds the dual variables from a previous fit. The seed is
 // clipped to the box [0, C], rebalanced so Σ αᵢyᵢ = 0 holds exactly
 // (rows may have been evicted or relabeled since the seed was taken),
-// and the error cache is rebuilt from the seeded support vectors and
-// the seed's threshold so the first sweep sees a consistent state.
+// and the gradient is rebuilt from the seeded support vectors.
 func (tr *trainer) initWarm(warm *WarmState) {
 	c := tr.cfg.C
 	m := len(warm.Alpha)
@@ -362,83 +374,36 @@ func (tr *trainer) initWarm(warm *WarmState) {
 		}
 		tr.alpha[i] = a
 	}
-	// Repair dual feasibility: scale down whichever class carries the
-	// excess so the equality constraint holds before SMO starts (SMO
-	// steps preserve it but never restore it).
-	var pos, neg float64
-	for i, a := range tr.alpha {
+	// Pair updates preserve the equality constraint but never restore it.
+	rebalance(tr.alpha, tr.y)
+
+	// This O(n·|SV|) pass is the whole cost of warm-starting, and the
+	// kernel rows it computes stay cached for the solve, which picks its
+	// pairs among these same support vectors.
+	tr.rebuildGrad(tr.active)
+}
+
+// rebuildGrad recomputes F_k = Σ_j α_j y_j K(j, k) − y_k for the listed
+// rows from the support vectors' kernel rows.
+func (tr *trainer) rebuildGrad(rows []int) {
+	for _, k := range rows {
+		tr.grad[k] = -tr.y[k]
+	}
+	for j, a := range tr.alpha {
 		if a == 0 {
 			continue
 		}
-		if tr.y[i] > 0 {
-			pos += a
-		} else {
-			neg += a
+		cj, row := a*tr.y[j], tr.kRow(j)
+		for _, k := range rows {
+			tr.grad[k] += cj * row[k]
 		}
-	}
-	switch s := pos - neg; {
-	case s > 0 && pos > 0:
-		f := (pos - s) / pos
-		for i := range tr.alpha {
-			if tr.y[i] > 0 {
-				tr.alpha[i] *= f
-			}
-		}
-	case s < 0 && neg > 0:
-		f := (neg + s) / neg
-		for i := range tr.alpha {
-			if tr.y[i] < 0 {
-				tr.alpha[i] *= f
-			}
-		}
-	}
-
-	var sv []int
-	for i, a := range tr.alpha {
-		if a > 1e-12 {
-			sv = append(sv, i)
-		}
-	}
-	if len(sv) == 0 {
-		return // fully cold after repair: errs are already -y, b = 0
-	}
-	// The seed's threshold transfers directly: the frozen scaler keeps
-	// the kernel geometry of the shared rows identical, so at the seed
-	// optimum the same b makes the non-bound errors vanish.
-	tr.b = warm.b
-	// E_i = Σ_j α_j y_j K(i, j) − b − y_i over the seeded support
-	// vectors; this O(n·|SV|) pass is the whole cost of warm-starting.
-	for i := 0; i < tr.n; i++ {
-		var g float64
-		for _, j := range sv {
-			g += tr.alpha[j] * tr.y[j] * tr.kern(tr.x[i], tr.x[j])
-		}
-		tr.errs[i] = g - tr.b - tr.y[i]
 	}
 }
 
-// pruneAlpha zeroes dual variables at or below tol (Config.PruneTol)
-// so buildModel drops their support vectors, then repairs the dual
-// equality Σ αᵢyᵢ = 0 by scaling down whichever class carries the
-// excess — the same repair initWarm applies to re-aligned seeds, so
-// the pruned solution stays a feasible (slightly perturbed) dual
-// point and can still seed the next warm fit. Variables at the box
-// bound C are never pruned regardless of tol: they are the misfit
-// examples, not numerical dust. Returns how many support vectors
-// (α > the 1e-12 retention threshold) were dropped.
-func pruneAlpha(alpha, y []float64, tol, c float64) int {
-	pruned := 0
-	for i, a := range alpha {
-		if a > 0 && a <= tol && a < c {
-			if a > 1e-12 {
-				pruned++
-			}
-			alpha[i] = 0
-		}
-	}
-	if pruned == 0 {
-		return 0
-	}
+// rebalance restores the dual equality Σ αᵢyᵢ = 0 by scaling down
+// whichever class carries the excess, which keeps every variable inside
+// the box.
+func rebalance(alpha, y []float64) {
 	var pos, neg float64
 	for i, a := range alpha {
 		if a == 0 {
@@ -450,21 +415,43 @@ func pruneAlpha(alpha, y []float64, tol, c float64) int {
 			neg += a
 		}
 	}
+	heavy, f := 0.0, 1.0
 	switch s := pos - neg; {
 	case s > 0 && pos > 0:
-		f := (pos - s) / pos
-		for i := range alpha {
-			if y[i] > 0 {
-				alpha[i] *= f
-			}
-		}
+		heavy, f = 1, (pos-s)/pos
 	case s < 0 && neg > 0:
-		f := (neg + s) / neg
-		for i := range alpha {
-			if y[i] < 0 {
-				alpha[i] *= f
-			}
+		heavy, f = -1, (neg+s)/neg
+	}
+	if heavy == 0 {
+		return
+	}
+	for i := range alpha {
+		if y[i] == heavy {
+			alpha[i] *= f
 		}
+	}
+}
+
+// pruneAlpha zeroes dual variables at or below tol (Config.PruneTol)
+// so buildModel drops their support vectors, then repairs the dual
+// equality the same way initWarm does for re-aligned seeds, so the
+// pruned solution stays a feasible (slightly perturbed) dual point and
+// can still seed the next warm fit. Variables at the box bound C are
+// never pruned regardless of tol: they are the misfit examples, not
+// numerical dust. Returns how many support vectors (α > the 1e-12
+// retention threshold) were dropped.
+func pruneAlpha(alpha, y []float64, tol, c float64) int {
+	pruned := 0
+	for i, a := range alpha {
+		if a > 0 && a <= tol && a < c {
+			if a > 1e-12 {
+				pruned++
+			}
+			alpha[i] = 0
+		}
+	}
+	if pruned > 0 {
+		rebalance(alpha, y)
 	}
 	return pruned
 }
@@ -510,320 +497,205 @@ func (tr *trainer) computeRow(i int) []float64 {
 	return row
 }
 
-// solve runs the SMO main loop with working-set shrinking: alternate
-// full passes over the active set with passes over its non-bound
-// subset until a full pass makes no progress, dropping converged bound
-// examples from the sweeps along the way; then restore the shrunk
-// examples, rebuild their error terms, and verify the KKT conditions
-// globally, resuming (without further shrinking) if the reduced
-// problem's solution does not survive the full check.
+// shrinkEvery is how many pair updates pass between two shrink passes.
+// libsvm waits min(n, 1000), longer than a whole warm refit of the
+// 1500-row window takes (~700 updates); at 50 the pair loop's three
+// O(active) passes run over about a seventh of the rows.
+const shrinkEvery = 50
+
+// solve is libsvm's decomposition loop (Fan, Chen & Lin 2005). With
+//
+//	I_up  = {i : yᵢ=+1, αᵢ<C  or  yᵢ=−1, αᵢ>0}   (yᵢαᵢ can grow)
+//	I_low = {i : yᵢ=+1, αᵢ>0  or  yᵢ=−1, αᵢ<C}   (yᵢαᵢ can fall)
+//	m(α) = max over I_up of −Fᵢ,   M(α) = min over I_low of −Fᵢ
+//
+// α is optimal iff m(α) ≤ M(α). Each iteration takes i attaining m(α),
+// the j in I_low with the largest second-order gain against i, and
+// solves the two-variable problem exactly inside the box; it stops
+// when m(α) − M(α) < Tol over all rows, and the threshold is the
+// midpoint of the final (m, M), within Tol/2 of every free support
+// vector's −Fᵢ. MaxIter is the only other way out. No randomness, no
+// map iteration: ties go to the lower index.
+//
+// Along the way shrink parks rows that cannot be picked. The first time
+// the loop would stop with rows parked it brings them back with exact
+// gradients instead and carries on over all rows, with no further
+// shrinking, so what it finally stops on was checked on every row.
 func (tr *trainer) solve() {
 	maxIter := tr.cfg.MaxIter
 	if maxIter <= 0 {
-		maxIter = 200 * tr.n
-		if maxIter < 20000 {
-			maxIter = 20000
-		}
+		maxIter = max(20000, 200*tr.n)
 	}
-	// Deterministic tie-breaking RNG for the second-choice heuristic
-	// fallback; seeded from the problem size so training is
-	// reproducible for a given dataset.
-	rng := rand.New(rand.NewSource(int64(tr.n)*2654435761 + 1))
-
-	iter := 0
+	iters, gap, capped := 0, 0.0, false
 	shrinking := true
 	for {
-		tr.sweeps(rng, &iter, maxIter, shrinking)
-		if iter >= maxIter || tr.nActive == tr.n {
-			if tr.stats != nil {
-				tr.stats.Iters = iter
+		i, up, low := tr.maxViolator()
+		gap, tr.b = up-low, -(up+low)/2
+		// No violating pair at all (gap ≤ 0) is optimal whatever Tol says.
+		if done := gap < tr.cfg.Tol || !(gap > 0); done || iters == maxIter {
+			if len(tr.active) == tr.n {
+				capped = !done
+				break
 			}
-			return
-		}
-		tr.unshrink()
-		shrinking = false
-	}
-}
-
-// sweeps is one convergence run over the current active set: Platt's
-// alternation of full and non-bound-only passes until MaxPasses passes
-// in a row make no progress.
-func (tr *trainer) sweeps(rng *rand.Rand, iter *int, maxIter int, shrinking bool) {
-	examineAll := true
-	passesWithoutProgress := 0
-	for passesWithoutProgress < tr.cfg.maxPasses() && *iter < maxIter {
-		changed := 0
-		for i := 0; i < tr.n && *iter < maxIter; i++ {
-			if !tr.active[i] {
-				continue
-			}
-			if !examineAll && !(tr.alpha[i] > 0 && tr.alpha[i] < tr.cfg.C) {
-				continue
-			}
-			changed += tr.examine(i, rng)
-			*iter++
-		}
-		if examineAll && shrinking {
-			tr.shrink()
-		}
-		if examineAll {
-			examineAll = false
-		} else if changed == 0 {
-			examineAll = true
-		}
-		if changed == 0 {
-			passesWithoutProgress++
-		} else {
-			passesWithoutProgress = 0
-		}
-	}
-}
-
-// shrink drops bound examples whose KKT condition holds with a
-// comfortable margin from the active set: SMO will not pick them again
-// until the rest of the working set moves the boundary substantially,
-// and the final unshrink pass re-checks them anyway. Their cached
-// kernel rows are released so the LRU budget stays on live rows.
-func (tr *trainer) shrink() {
-	var t0 time.Time
-	if tr.stats != nil {
-		t0 = time.Now()
-		defer func() { tr.stats.ShrinkSeconds += time.Since(t0).Seconds() }()
-	}
-	tol, c := tr.cfg.Tol, tr.cfg.C
-	for i := 0; i < tr.n; i++ {
-		if !tr.active[i] {
+			tr.unshrink()
+			shrinking = false
 			continue
 		}
-		a := tr.alpha[i]
-		if a > 0 && a < c {
-			continue // non-bound examples always stay active
+		if shrinking && iters%shrinkEvery == shrinkEvery-1 {
+			tr.shrink(up, low)
 		}
-		r := tr.errs[i] * tr.y[i]
-		if (a <= 0 && r > shrinkMargin*tol) || (a >= c && r < -shrinkMargin*tol) {
-			tr.active[i] = false
-			tr.nActive--
-			if tr.stats != nil {
-				tr.stats.Shrunk++
-			}
-			if tr.lru != nil {
-				tr.lru.Remove(i)
-			}
-		}
+		rowI := tr.kRow(i)
+		tr.step(i, tr.partner(i, rowI), rowI)
+		iters++
+	}
+	if tr.stats != nil {
+		tr.stats.Iters, tr.stats.Gap, tr.stats.Capped = iters, gap, capped
 	}
 }
 
-// unshrink reactivates every shrunk example, rebuilding its error term
-// exactly from the support vectors (errors of inactive examples go
-// stale the moment they are shrunk: the incremental update loop skips
-// them on purpose).
+// shrink parks the rows no pair can include while the violation band
+// [M, m] only narrows: a row at a bound is in just one of I_up and
+// I_low, and one that can only rise (only fall) is picked only while
+// its −F is at least M (at most m).
+func (tr *trainer) shrink(m, M float64) {
+	keep := tr.active[:0]
+	for _, k := range tr.active {
+		up, low := tr.inUpLow(k)
+		if v := -tr.grad[k]; (!low && v < M) || (!up && v > m) {
+			continue
+		}
+		keep = append(keep, k)
+	}
+	tr.active = keep
+}
+
+// unshrink makes every row active again, rebuilding the parked rows'
+// gradient entries — from cached kernel rows, short of LRU eviction,
+// since a row's α only ever left 0 through kRow.
 func (tr *trainer) unshrink() {
-	var t0 time.Time
-	if tr.stats != nil {
-		t0 = time.Now()
-		tr.stats.Unshrinks++
-		defer func() { tr.stats.ShrinkSeconds += time.Since(t0).Seconds() }()
-	}
-	var sv []int
-	for i, a := range tr.alpha {
-		if a > 1e-12 {
-			sv = append(sv, i)
+	parked := make([]int, 0, tr.n-len(tr.active))
+	next := 0
+	for k := 0; k < tr.n; k++ {
+		if next < len(tr.active) && tr.active[next] == k {
+			next++
+		} else {
+			parked = append(parked, k)
 		}
 	}
-	for i := 0; i < tr.n; i++ {
-		if tr.active[i] {
+	if tr.stats != nil {
+		tr.stats.Shrunk = len(parked)
+	}
+	tr.rebuildGrad(parked)
+	tr.active = tr.active[:tr.n]
+	for k := range tr.active {
+		tr.active[k] = k
+	}
+}
+
+// inUpLow reports whether k is in I_up and in I_low.
+func (tr *trainer) inUpLow(k int) (up, low bool) {
+	up, low = tr.alpha[k] < tr.cfg.C, tr.alpha[k] > 0
+	if tr.y[k] < 0 {
+		up, low = low, up
+	}
+	return up, low
+}
+
+// maxViolator returns m(α) with the index attaining it, and M(α).
+func (tr *trainer) maxViolator() (i int, m, M float64) {
+	i, m, M = -1, math.Inf(-1), math.Inf(1)
+	for _, k := range tr.active {
+		f := tr.grad[k]
+		up, low := tr.inUpLow(k)
+		if up && -f > m {
+			i, m = k, -f
+		}
+		if low && -f < M {
+			M = -f
+		}
+	}
+	return i, m, M
+}
+
+// partner picks, among the j in I_low that violate against i, the one
+// whose pair step decreases the dual objective most to second order:
+// maximal (Fⱼ−Fᵢ)² / (Kᵢᵢ+Kⱼⱼ−2Kᵢⱼ), from row i alone (WSS2). With
+// m(α) > M(α) and i attaining m(α) there is always one.
+func (tr *trainer) partner(i int, rowI []float64) int {
+	j, best := -1, 0.0
+	fi, kii := tr.grad[i], tr.kdiag[i]
+	for _, k := range tr.active {
+		f := tr.grad[k]
+		d := f - fi
+		if _, low := tr.inUpLow(k); !low || !(d > 0) {
 			continue
 		}
-		var g float64
-		for _, j := range sv {
-			g += tr.alpha[j] * tr.y[j] * tr.kern(tr.x[i], tr.x[j])
+		a := kii + tr.kdiag[k] - 2*rowI[k]
+		if a <= 0 {
+			a = tau
 		}
-		tr.errs[i] = g - tr.b - tr.y[i]
-		tr.active[i] = true
+		if g := d * d / a; g > best {
+			j, best = k, g
+		}
 	}
-	tr.nActive = tr.n
+	return j
 }
 
-func (c Config) maxPasses() int {
-	if c.MaxPasses <= 0 {
-		return 2
-	}
-	return c.MaxPasses
-}
-
-// examine applies the KKT check to example i2 and, if violated, picks a
-// partner i1 by the second-choice heuristic and attempts a step.
-func (tr *trainer) examine(i2 int, rng *rand.Rand) int {
-	y2 := tr.y[i2]
-	a2 := tr.alpha[i2]
-	e2 := tr.errs[i2]
-	r2 := e2 * y2
-	tol, c := tr.cfg.Tol, tr.cfg.C
-
-	if (r2 < -tol && a2 < c) || (r2 > tol && a2 > 0) {
-		// Heuristic 1: maximize |E1 - E2| over active non-bound alphas.
-		best, bestGap := -1, -1.0
-		for i := 0; i < tr.n; i++ {
-			if tr.active[i] && tr.alpha[i] > 0 && tr.alpha[i] < c {
-				gap := math.Abs(tr.errs[i] - e2)
-				if gap > bestGap {
-					bestGap, best = gap, i
-				}
-			}
-		}
-		if best >= 0 && tr.takeStep(best, i2) {
-			return 1
-		}
-		// Heuristic 2: loop over active non-bound from a random start.
-		start := rng.Intn(tr.n)
-		for k := 0; k < tr.n; k++ {
-			i1 := (start + k) % tr.n
-			if tr.active[i1] && tr.alpha[i1] > 0 && tr.alpha[i1] < c {
-				if tr.takeStep(i1, i2) {
-					return 1
-				}
-			}
-		}
-		// Heuristic 3: loop over the whole active set.
-		start = rng.Intn(tr.n)
-		for k := 0; k < tr.n; k++ {
-			i1 := (start + k) % tr.n
-			if tr.active[i1] && tr.takeStep(i1, i2) {
-				return 1
-			}
-		}
-	}
-	return 0
-}
-
-// takeStep jointly optimizes alpha[i1], alpha[i2]. Returns true when a
-// meaningful update happened.
-func (tr *trainer) takeStep(i1, i2 int) bool {
-	if i1 == i2 {
-		return false
-	}
-	a1, a2 := tr.alpha[i1], tr.alpha[i2]
-	y1, y2 := tr.y[i1], tr.y[i2]
-	e1, e2 := tr.errs[i1], tr.errs[i2]
-	s := y1 * y2
+// step solves the pair (i, j) exactly: yᵢαᵢ rises and yⱼαⱼ falls by the
+// same t, the unconstrained minimizer clipped to the box. A clipped
+// variable is set to 0 or C itself, never to a neighbour of it, so
+// bound support vectors stay recognizable; Σ αᵢyᵢ is preserved to
+// rounding.
+func (tr *trainer) step(i, j int, rowI []float64) {
 	c := tr.cfg.C
+	yi, yj := tr.y[i], tr.y[j]
+	ai, aj := tr.alpha[i], tr.alpha[j]
+	a := tr.kdiag[i] + tr.kdiag[j] - 2*rowI[j]
+	if a <= 0 {
+		a = tau
+	}
+	t := (tr.grad[j] - tr.grad[i]) / a
 
-	var lo, hi float64
-	if s < 0 {
-		lo = math.Max(0, a2-a1)
-		hi = math.Min(c, c+a2-a1)
-	} else {
-		lo = math.Max(0, a1+a2-c)
-		hi = math.Min(c, a1+a2)
+	// The bound each variable moves toward, and the room before it.
+	bi, bj := c, 0.0
+	if yi < 0 {
+		bi = 0
 	}
-	if lo >= hi {
-		return false
+	if yj < 0 {
+		bj = c
 	}
-
-	// Only the scalar K(i1,i2) is needed to evaluate the step; full
-	// kernel rows are fetched after the step is accepted, so the many
-	// rejected takeStep attempts of the second-choice heuristics cost
-	// one kernel evaluation instead of a whole row.
-	k11 := tr.kdiag[i1]
-	k22 := tr.kdiag[i2]
-	k12 := tr.kernAt(i1, i2)
-	eta := k11 + k22 - 2*k12
-
-	var a2new float64
-	if eta > 0 {
-		a2new = a2 + y2*(e1-e2)/eta
-		if a2new < lo {
-			a2new = lo
-		} else if a2new > hi {
-			a2new = hi
-		}
-	} else {
-		// Degenerate curvature: evaluate the objective at both clip
-		// ends and move to the better one.
-		f1 := y1*e1 - a1*k11 - s*a2*k12
-		f2 := y2*e2 - a2*k22 - s*a1*k12
-		l1 := a1 + s*(a2-lo)
-		h1 := a1 + s*(a2-hi)
-		objLo := l1*f1 + lo*f2 + 0.5*l1*l1*k11 + 0.5*lo*lo*k22 + s*lo*l1*k12
-		objHi := h1*f1 + hi*f2 + 0.5*h1*h1*k11 + 0.5*hi*hi*k22 + s*hi*h1*k12
-		switch {
-		case objLo < objHi-tr.cfg.Eps:
-			a2new = lo
-		case objLo > objHi+tr.cfg.Eps:
-			a2new = hi
-		default:
-			a2new = a2
-		}
-	}
-	if math.Abs(a2new-a2) < tr.cfg.Eps*(a2new+a2+tr.cfg.Eps) {
-		return false
-	}
-	a1new := a1 + s*(a2-a2new)
-	if a1new < 0 {
-		a2new += s * a1new
-		a1new = 0
-	} else if a1new > c {
-		a2new += s * (a1new - c)
-		a1new = c
-	}
-
-	// Threshold update (Platt eq. 20-22).
-	b1 := e1 + y1*(a1new-a1)*k11 + y2*(a2new-a2)*k12 + tr.b
-	b2 := e2 + y1*(a1new-a1)*k12 + y2*(a2new-a2)*k22 + tr.b
-	var bnew float64
+	ri, rj := math.Abs(bi-ai), math.Abs(bj-aj)
 	switch {
-	case a1new > 0 && a1new < c:
-		bnew = b1
-	case a2new > 0 && a2new < c:
-		bnew = b2
+	case t < ri && t < rj:
+		ai, aj = clamp(ai+yi*t, c), clamp(aj-yj*t, c)
+	case ri < rj:
+		ai, aj = bi, clamp(aj-yj*ri, c)
+	case rj < ri:
+		ai, aj = clamp(ai+yi*rj, c), bj
 	default:
-		bnew = (b1 + b2) / 2
+		ai, aj = bi, bj
 	}
-	deltaB := bnew - tr.b
-	tr.b = bnew
 
-	d1 := y1 * (a1new - a1)
-	d2 := y2 * (a2new - a2)
-	tr.alpha[i1] = a1new
-	tr.alpha[i2] = a2new
-	if tr.stats != nil {
-		tr.stats.Steps++
+	di, dj := yi*(ai-tr.alpha[i]), yj*(aj-tr.alpha[j])
+	tr.alpha[i], tr.alpha[j] = ai, aj
+	rowJ := tr.kRow(j)
+	for _, k := range tr.active {
+		tr.grad[k] += di*rowI[k] + dj*rowJ[k]
 	}
-	// The incremental update is exact — row values are deterministic
-	// whether cached or recomputed — so no per-step re-derivation of
-	// E_{i1}, E_{i2} is needed. Shrunk examples are skipped; their
-	// errors are rebuilt from scratch on unshrink.
-	row1 := tr.kRow(i1)
-	row2 := tr.kRow(i2)
-	for i := 0; i < tr.n; i++ {
-		if tr.active[i] {
-			tr.errs[i] += d1*row1[i] + d2*row2[i] - deltaB
-		}
-	}
-	return true
 }
 
-// kernAt returns the single kernel value K(i, j), served from an
-// already-cached row when one exists but never materializing a new
-// row.
-func (tr *trainer) kernAt(i, j int) float64 {
-	if tr.kfull != nil {
-		if tr.kfull[i] != nil {
-			return tr.kfull[i][j]
-		}
-		if tr.kfull[j] != nil {
-			return tr.kfull[j][i]
-		}
-	} else if tr.lru != nil {
-		if row, ok := tr.lru.Get(i); ok {
-			return row[j]
-		}
-		if row, ok := tr.lru.Get(j); ok {
-			return row[i]
-		}
+// clamp guards the box against the last-bit rounding of a+t.
+func clamp(a, c float64) float64 {
+	return math.Min(c, math.Max(0, a))
+}
+
+// maxDecision returns max |F_i + y_i − b| over the training rows: the
+// largest absolute decision value, which the final gradient already
+// holds.
+func (tr *trainer) maxDecision() float64 {
+	var m float64
+	for i, f := range tr.grad {
+		m = math.Max(m, math.Abs(f+tr.y[i]-tr.b))
 	}
-	if tr.stats != nil {
-		tr.stats.ScalarEvals++
-	}
-	return tr.kern(tr.x[i], tr.x[j])
+	return m
 }

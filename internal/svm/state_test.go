@@ -38,7 +38,7 @@ func stateProbes(dim int) [][]float64 {
 
 func TestModelStateRoundTripLinear(t *testing.T) {
 	x, y := linearlySeparable(200, 0.5, 11)
-	cfg := Config{Kernel: Linear, C: 10, Tol: 1e-3, Eps: 1e-5, MaxPasses: 5}
+	cfg := Config{Kernel: Linear, C: 10, Tol: 1e-3}
 	m, err := Train(cfg, x, y)
 	if err != nil {
 		t.Fatal(err)

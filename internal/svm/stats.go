@@ -1,11 +1,11 @@
 package svm
 
-// SolveStats reports how one Solve call spent its effort, split the
-// way the solver actually works: seeding (scaler + kdiag + warm error
-// rebuild), kernel-row computation, and shrinking bookkeeping. The
-// classifier's model-health layer records one of these per retrain so
-// an operator can see where a slow refit went and whether the kernel
-// cache is earning its memory.
+// SolveStats reports how one Solve call spent its effort and how it
+// ended: seeding (scaler + kdiag + the warm gradient sums), kernel-row
+// computation, and the pair loop's iteration count and final violation.
+// The classifier's model-health layer records one of these per retrain
+// so an operator can see where a slow refit went, whether the kernel
+// cache is earning its memory, and whether the fit converged.
 //
 // Counters are exact; the phase timings are wall-clock and only
 // meaningful relative to each other (TotalSeconds includes solver time
@@ -15,30 +15,31 @@ type SolveStats struct {
 	Warm bool `json:"warm"`
 	// Rows is the training-set size.
 	Rows int `json:"rows"`
-	// Iters is the number of examine steps the SMO loop ran.
+	// Iters is the number of pair updates the solve made; every
+	// iteration moves two dual variables.
 	Iters int `json:"iters"`
-	// Steps is the number of accepted takeStep updates.
-	Steps int `json:"steps"`
+	// Gap is the maximal KKT violation m(α) − M(α) the solve ended on:
+	// below Config.Tol for a converged fit. Capped reports that it ended
+	// on Config.MaxIter instead, so the model is the solver's current
+	// point, not an optimum.
+	Gap    float64 `json:"gap"`
+	Capped bool    `json:"capped"`
 	// KernelRows counts full kernel rows computed (cache misses plus
 	// first touches); CacheHits/CacheMisses split the row lookups.
 	KernelRows  int `json:"kernel_rows"`
 	CacheHits   int `json:"cache_hits"`
 	CacheMisses int `json:"cache_misses"`
-	// ScalarEvals counts single kernel evaluations served outside any
-	// cached row (the kernAt fallback on rejected steps).
-	ScalarEvals int `json:"scalar_evals"`
-	// Shrunk is how many examples working-set shrinking dropped;
-	// Unshrinks is how many global restore-and-recheck passes ran.
-	Shrunk    int `json:"shrunk"`
-	Unshrinks int `json:"unshrinks"`
+	// Shrunk is how many rows shrinking had parked, out of Rows, when
+	// the pair loop first converged (or hit MaxIter) and restored them.
+	Shrunk int `json:"shrunk"`
 	// Pruned is how many support vectors post-solve reduced-set
 	// selection dropped (Config.PruneTol; 0 when pruning is off).
 	Pruned int `json:"pruned"`
 
-	// Phase wall-clock split, in seconds.
+	// Phase wall-clock split, in seconds. The phases are disjoint:
+	// kernel rows computed while seeding count as kernel time.
 	InitSeconds   float64 `json:"init_seconds"`
 	KernelSeconds float64 `json:"kernel_seconds"`
-	ShrinkSeconds float64 `json:"shrink_seconds"`
 	TotalSeconds  float64 `json:"total_seconds"`
 }
 

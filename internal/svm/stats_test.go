@@ -46,8 +46,11 @@ func TestSolveStatsAccounting(t *testing.T) {
 	if stats.Rows != len(x) {
 		t.Fatalf("rows = %d, want %d", stats.Rows, len(x))
 	}
-	if stats.Iters <= 0 || stats.Iters == 999999 || stats.Steps <= 0 {
-		t.Fatalf("solver work not accounted: iters=%d steps=%d", stats.Iters, stats.Steps)
+	if stats.Iters <= 0 || stats.Iters == 999999 {
+		t.Fatalf("solver work not accounted: iters=%d", stats.Iters)
+	}
+	if stats.Capped || !(stats.Gap < cfg.Tol) {
+		t.Fatalf("converged fit reports gap=%v capped=%v, want gap < %v", stats.Gap, stats.Capped, cfg.Tol)
 	}
 	if stats.KernelRows <= 0 || stats.KernelRows != stats.CacheMisses {
 		t.Fatalf("kernel rows %d must equal cache misses %d (each miss materializes one row)",
@@ -56,10 +59,11 @@ func TestSolveStatsAccounting(t *testing.T) {
 	if stats.TotalSeconds <= 0 {
 		t.Fatal("total time not measured")
 	}
-	if stats.InitSeconds < 0 || stats.KernelSeconds < 0 || stats.ShrinkSeconds < 0 {
+	if stats.InitSeconds < 0 || stats.KernelSeconds < 0 {
 		t.Fatalf("negative phase time: %+v", stats)
 	}
-	if sum := stats.InitSeconds + stats.KernelSeconds + stats.ShrinkSeconds; sum > stats.TotalSeconds*1.5 {
+	// The phases are disjoint intervals inside the total.
+	if sum := stats.InitSeconds + stats.KernelSeconds; sum > stats.TotalSeconds {
 		t.Fatalf("phase times %v exceed total %v", sum, stats.TotalSeconds)
 	}
 	if m.NumSV() <= 0 {
@@ -80,6 +84,18 @@ func TestSolveStatsAccounting(t *testing.T) {
 	}
 	if warmStats.Iters > stats.Iters {
 		t.Fatalf("warm solve took more iterations (%d) than cold (%d)", warmStats.Iters, stats.Iters)
+	}
+
+	// A solve stopped by MaxIter still returns its current point, and
+	// says that it is not an optimum.
+	cfg.MaxIter = 1
+	var capStats SolveStats
+	if _, _, err := SolveDetailed(cfg, x, y, nil, &capStats); err != nil {
+		t.Fatal(err)
+	}
+	if !capStats.Capped || capStats.Iters != 1 || !(capStats.Gap >= cfg.Tol) {
+		t.Fatalf("MaxIter=1 solve reports iters=%d gap=%v capped=%v, want 1 iteration, gap >= Tol, capped",
+			capStats.Iters, capStats.Gap, capStats.Capped)
 	}
 }
 

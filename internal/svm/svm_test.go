@@ -60,7 +60,7 @@ func trainAccuracy(m *Model, x [][]float64, y []float64) float64 {
 
 func TestLinearSeparable(t *testing.T) {
 	x, y := linearlySeparable(200, 0.5, 1)
-	cfg := Config{Kernel: Linear, C: 10, Tol: 1e-3, Eps: 1e-5, MaxPasses: 5}
+	cfg := Config{Kernel: Linear, C: 10, Tol: 1e-3}
 	m, err := Train(cfg, x, y)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestRBFRing(t *testing.T) {
 		t.Fatalf("rbf ring training accuracy = %v, want >= 0.97", acc)
 	}
 	// A linear kernel must do clearly worse on the ring.
-	lin, err := Train(Config{Kernel: Linear, C: 10, Tol: 1e-3, Eps: 1e-5, MaxPasses: 5}, x, y)
+	lin, err := Train(Config{Kernel: Linear, C: 10, Tol: 1e-3}, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestDecisionMagnitudeGrowsWithDepth(t *testing.T) {
 	// half-space should score higher: the property ExBox's network
 	// selection relies on.
 	x, y := linearlySeparable(300, 0.8, 4)
-	m, err := Train(Config{Kernel: Linear, C: 10, Tol: 1e-4, Eps: 1e-6, MaxPasses: 8}, x, y)
+	m, err := Train(Config{Kernel: Linear, C: 10, Tol: 1e-4}, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestConstantFeatureDoesNotNaN(t *testing.T) {
 func TestCrossValidate(t *testing.T) {
 	x, y := linearlySeparable(150, 0.5, 7)
 	rng := mathx.NewRand(8)
-	acc, err := CrossValidate(Config{Kernel: Linear, C: 10, Tol: 1e-3, Eps: 1e-5, MaxPasses: 5}, x, y, 5, rng)
+	acc, err := CrossValidate(Config{Kernel: Linear, C: 10, Tol: 1e-3}, x, y, 5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestTrainingDeterministic(t *testing.T) {
 // positive scaling, because the model standardizes internally.
 func TestQuickScaleInvariance(t *testing.T) {
 	x, y := linearlySeparable(80, 0.5, 13)
-	cfg := Config{Kernel: Linear, C: 10, Tol: 1e-3, Eps: 1e-5, MaxPasses: 5}
+	cfg := Config{Kernel: Linear, C: 10, Tol: 1e-3}
 	base, err := Train(cfg, x, y)
 	if err != nil {
 		t.Fatal(err)
@@ -330,10 +330,20 @@ func TestQuickScaleInvariance(t *testing.T) {
 }
 
 // Property: the trained decision function respects label symmetry —
-// flipping every label flips the sign of the decision function.
+// flipping every label flips the sign of the decision function, to
+// within the solver tolerance. The two fits are two Tol-optimal points
+// of mirrored problems, not mirror images of each other: flipping the
+// labels swaps I_up and I_low, so the maximal-violating-pair loop walks
+// a different path (ties go to the lower index in both) and stops
+// somewhere else inside the Tol-optimal set; only a path-symmetric
+// solver could agree to rounding. What the stopping rule does promise
+// is y·f = 1 ± Tol/2 at every free support vector, so the two affine
+// decision functions are within Tol of mirroring each other there and,
+// elsewhere, within Tol times the leverage of extrapolating from those
+// few points — under 2 over seeds 10–29 at Tol 1e-2…1e-5, hence 4.
 func TestQuickLabelSymmetry(t *testing.T) {
 	x, y := linearlySeparable(60, 0.5, 15)
-	cfg := Config{Kernel: Linear, C: 10, Tol: 1e-3, Eps: 1e-5, MaxPasses: 5}
+	cfg := Config{Kernel: Linear, C: 10, Tol: 1e-3}
 	m, err := Train(cfg, x, y)
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +358,7 @@ func TestQuickLabelSymmetry(t *testing.T) {
 	}
 	for _, row := range x {
 		a, b := m.Decision(row), mneg.Decision(row)
-		if math.Abs(a+b) > 1e-6*(1+math.Abs(a)) {
+		if math.Abs(a+b) > 4*cfg.Tol*(1+math.Abs(a)) {
 			t.Fatalf("label symmetry violated: %v vs %v", a, b)
 		}
 	}

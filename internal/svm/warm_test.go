@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,8 +14,6 @@ import (
 func tightConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Tol = 1e-8
-	cfg.Eps = 1e-11
-	cfg.MaxPasses = 10
 	cfg.MaxIter = 4_000_000
 	return cfg
 }
@@ -226,32 +225,141 @@ func TestSolveAlphasFeasible(t *testing.T) {
 	}
 }
 
-// TestKKTHoldsAfterShrinkingSolve verifies working-set shrinking never
-// terminates on a state that violates the KKT conditions globally: the
-// unshrink pass must catch examples that drifted while parked.
-func TestKKTHoldsAfterShrinkingSolve(t *testing.T) {
-	x, y := ringData(500, 27)
-	cfg := DefaultConfig()
-	m, state, err := Solve(cfg, x, y, nil)
-	if err != nil {
-		t.Fatal(err)
+// checkOptimal asserts the returned dual point is feasible and
+// Tol-optimal without trusting anything the solver maintained: the
+// gradient F_i = Σ_j α_j y_j K_ij − y_i is recomputed from the returned
+// alphas over the state's standardization, and the stopping condition
+// m(α) − M(α) < Tol is evaluated on that.
+func checkOptimal(t *testing.T, label string, cfg Config, x [][]float64, y []float64, st *WarmState) {
+	t.Helper()
+	n := len(x)
+	if len(st.Alpha) != n {
+		t.Fatalf("%s: got %d alphas for %d rows", label, len(st.Alpha), n)
 	}
-	slack := 2 * cfg.Tol
-	for i, row := range x {
-		r := y[i]*m.Decision(row) - 1
-		switch {
-		case state.Alpha[i] <= 1e-12:
-			if r < -slack {
-				t.Fatalf("KKT violated at zero alpha %d: y·f-1 = %v", i, r)
+	gamma := cfg.Gamma
+	if gamma <= 0 {
+		gamma = 1 / float64(len(x[0]))
+	}
+	kern := kernelFunc(cfg.Kernel, gamma)
+	xs := st.scaler.TransformAll(x)
+	var sum float64
+	for i, a := range st.Alpha {
+		if !(a >= 0 && a <= cfg.C) {
+			t.Fatalf("%s: alpha[%d] = %v outside [0, %v]", label, i, a, cfg.C)
+		}
+		sum += a * y[i]
+	}
+	if math.Abs(sum) > 1e-9*cfg.C*float64(n) {
+		t.Fatalf("%s: Σ αᵢyᵢ = %v, want 0", label, sum)
+	}
+	m, M := math.Inf(-1), math.Inf(1)
+	for i := range xs {
+		f := -y[i]
+		for j, a := range st.Alpha {
+			if a != 0 {
+				f += a * y[j] * kern(xs[i], xs[j])
 			}
-		case state.Alpha[i] >= cfg.C-1e-12:
-			if r > slack {
-				t.Fatalf("KKT violated at bound alpha %d: y·f-1 = %v", i, r)
+		}
+		up, low := st.Alpha[i] < cfg.C, st.Alpha[i] > 0
+		if y[i] < 0 {
+			up, low = low, up
+		}
+		if up {
+			m = math.Max(m, -f)
+		}
+		if low {
+			M = math.Min(M, -f)
+		}
+	}
+	if !(m-M < cfg.Tol) {
+		t.Fatalf("%s: maximal violation m−M = %v, want < Tol = %v", label, m-M, cfg.Tol)
+	}
+}
+
+// TestSolveOptimalFromScratch is the solver's correctness property,
+// over seeded random problems of both kernels — separable, curved and
+// heavily overlapping (many variables at the bound C) — and every way
+// a fit can start: cold, warm from a prefix fit, from an infeasible
+// seed, and from a seed whose rows were since evicted and relabeled.
+// Each result must pass checkOptimal, and solving the same input twice
+// must give bit-identical duals and threshold. Shrinking must have
+// parked rows in every kind of start, or their restoration went
+// unchecked.
+func TestSolveOptimalFromScratch(t *testing.T) {
+	const n, batch = 240, 20
+	shrunk := map[string]int{}
+	for seed := int64(1); seed <= 4; seed++ {
+		problems := []struct {
+			name   string
+			kernel KernelKind
+			data   func() ([][]float64, []float64)
+		}{
+			{"linear/separable", Linear, func() ([][]float64, []float64) { return linearlySeparable(n+batch, 0.5, seed) }},
+			{"linear/overlap", Linear, func() ([][]float64, []float64) { return overlapData(n+batch, 3, seed) }},
+			{"rbf/ring", RBF, func() ([][]float64, []float64) { return ringData(n+batch, seed) }},
+			{"rbf/overlap", RBF, func() ([][]float64, []float64) { return overlapData(n+batch, 5, seed) }},
+		}
+		for _, p := range problems {
+			cfg := DefaultConfig()
+			cfg.Kernel = p.kernel
+			x, y := p.data()
+			_, prefix, err := Solve(cfg, x[:n], y[:n], nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		default:
-			if math.Abs(r) > slack {
-				t.Fatalf("KKT violated at free alpha %d: y·f-1 = %v", i, r)
+			rng := mathx.NewRand(seed + 100)
+			infeasible := make([]float64, len(x))
+			for i := range infeasible {
+				infeasible[i] = rng.Float64()*3*cfg.C - cfg.C // in [-C, 2C]
 			}
+			// The window slid: the oldest batch rows are gone, the seed's
+			// alphas moved up with the survivors, and every seventh
+			// survivor changed its label without giving up its alpha.
+			slidX, slidY := x[batch:], append([]float64(nil), y[batch:]...)
+			for i := 0; i < n-batch; i += 7 {
+				slidY[i] = -slidY[i]
+			}
+			starts := []struct {
+				name string
+				x    [][]float64
+				y    []float64
+				seed *WarmState
+			}{
+				{"cold", x, y, nil},
+				{"warm", x, y, prefix},
+				{"infeasible seed", x, y, prefix.Remap(infeasible)},
+				{"evicted+relabeled seed", slidX, slidY, prefix.Remap(prefix.Alpha[batch:])},
+			}
+			for _, s := range starts {
+				label := fmt.Sprintf("seed %d, %s, %s", seed, p.name, s.name)
+				var stats SolveStats
+				_, st, err := SolveDetailed(cfg, s.x, s.y, s.seed, &stats)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if stats.Warm != (s.seed != nil) || stats.Capped {
+					t.Fatalf("%s: warm=%v capped=%v", label, stats.Warm, stats.Capped)
+				}
+				checkOptimal(t, label, cfg, s.x, s.y, st)
+				shrunk[s.name] += stats.Shrunk
+				_, again, err := Solve(cfg, s.x, s.y, s.seed)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if math.Float64bits(again.b) != math.Float64bits(st.b) {
+					t.Fatalf("%s: threshold differs between two solves of one input", label)
+				}
+				for i := range st.Alpha {
+					if math.Float64bits(again.Alpha[i]) != math.Float64bits(st.Alpha[i]) {
+						t.Fatalf("%s: alpha[%d] differs between two solves of one input", label, i)
+					}
+				}
+			}
+		}
+	}
+	for _, name := range []string{"cold", "warm", "infeasible seed", "evicted+relabeled seed"} {
+		if shrunk[name] == 0 {
+			t.Errorf("%s: no solve ever parked a row", name)
 		}
 	}
 }
