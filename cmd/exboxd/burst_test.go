@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
+	"net/netip"
 	"os"
 	"runtime"
 	"sort"
@@ -45,6 +45,20 @@ func tracedBurstGateway(t testing.TB, shards int, tracer *trace.Tracer) *gateway
 	return gw
 }
 
+// overloadCell pre-loads the gateway's traffic matrix past capacity so
+// new flows are rejected: 3 web + 6 streaming flows, well outside the
+// learned region yet inside the loads the bootstrap trained on (an RBF
+// boundary says nothing reliable far beyond them).
+func overloadCell(gw *gateway) {
+	for i := 0; i < 9; i++ {
+		class := excr.Streaming
+		if i < 3 {
+			class = excr.Web
+		}
+		gw.table.TrackAdmitted(&flows.Flow{Classified: true, Decided: true, Admitted: true, Class: class})
+	}
+}
+
 // burstPackets synthesizes a deterministic interleaved packet stream:
 // nFlows clients sending perFlow packets each, round-robin, so every
 // burst mixes flows at different lifecycle stages (filling heads,
@@ -68,9 +82,10 @@ func burstPackets(gw *gateway, nFlows, perFlow int) []pkt {
 	return out
 }
 
-// testClientSrc is the synthetic client address for client number fl.
-func testClientSrc(fl int) *net.UDPAddr {
-	return &net.UDPAddr{IP: net.IPv4(10, byte(fl/200), byte(fl%200+1), 7), Port: 40000 + fl}
+// testClientSrc is the synthetic client address for client number fl,
+// in the form the read loop gets it from the socket.
+func testClientSrc(fl int) netip.AddrPort {
+	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, byte(fl / 200), byte(fl%200 + 1), 7}), uint16(40000+fl))
 }
 
 // internTestClient mirrors the read loop's client interning for the
@@ -180,16 +195,7 @@ func TestSilencePathMatchesHeadFill(t *testing.T) {
 		// only way it reaches the trace ring is promotion.
 		gw := tracedBurstGateway(t, 1, trace.New(8, 1<<20))
 		gw.table = flows.NewShardedTable(1, headCap, 30, excr.DefaultSpace)
-		// 3 web + 6 streaming flows: well outside the learned region,
-		// yet inside the loads the bootstrap trained on (an RBF boundary
-		// says nothing reliable far beyond them).
-		for i := 0; i < 9; i++ {
-			class := excr.Streaming
-			if i < 3 {
-				class = excr.Web
-			}
-			gw.table.TrackAdmitted(&flows.Flow{Classified: true, Decided: true, Admitted: true, Class: class})
-		}
+		overloadCell(gw)
 		gw.processBurst(newWorkerState(64), burstPackets(gw, 1, 3))
 		return gw
 	}
@@ -257,7 +263,7 @@ func TestSilencePathMatchesHeadFill(t *testing.T) {
 // the work the pipeline does to get from an address to an accounted
 // flow is part of what the benchmark measures.
 type datagram struct {
-	src  *net.UDPAddr
+	src  netip.AddrPort
 	meta flows.PacketMeta
 }
 

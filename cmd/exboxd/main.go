@@ -83,12 +83,14 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/netip"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -327,6 +329,14 @@ type gateway struct {
 	admitLat  *obs.Histogram
 	ingest    *obs.IngestMetrics // ring depth/drops and burst-size telemetry
 
+	// The per-flow decision line is budgeted: applyDecision prints while
+	// logLeft lasts and counts the rest in logSuppressed; the sweeper
+	// refills logLeft every tick. Every decision is still in the audit
+	// ring (/debug/admissions), the verdict counters and, with
+	// -flightdir, the journal.
+	logLeft       atomic.Int64
+	logSuppressed *obs.Counter
+
 	// noForwardIO makes processBurst account forwards without the sink
 	// write. Benchmarks of the in-memory datapath set it so a per-packet
 	// UDP syscall doesn't drown what they measure.
@@ -386,26 +396,25 @@ func newInterner(gw *gateway) *interner {
 }
 
 // get returns the interned ingest state for src, creating it on the
-// client's first packet.
-func (in *interner) get(src *net.UDPAddr) *clientEntry {
-	var ca clientAddr
-	// To4 aliases the existing slice (no allocation) and folds the
-	// 4-byte and IPv4-mapped 16-byte spellings of one address into the
-	// same intern key.
-	if ip4 := src.IP.To4(); ip4 != nil {
-		copy(ca.ip[12:], ip4)
-	} else {
-		copy(ca.ip[:], src.IP)
-	}
-	ca.port = src.Port
+// client's first packet. A known client costs no allocation.
+func (in *interner) get(src netip.AddrPort) *clientEntry {
+	// As16 folds the 4-byte and IPv4-mapped 16-byte spellings of one
+	// address (an AF_INET and a dual-stack socket report the same
+	// client differently) into the same intern key.
+	ca := clientAddr{ip: src.Addr().As16(), port: int(src.Port())}
 	if in.lastCE != nil && ca == in.lastCA {
 		return in.lastCE
 	}
 	ce := in.clients[ca]
 	if ce == nil {
+		// One string per new client, shared by the flow key and the SNR
+		// bin: the dotted quad for either spelling of an IPv4 address,
+		// and no zone — link quality and flow identity belong to the
+		// address.
+		ip := src.Addr().Unmap().WithZone("").String()
 		key := flows.Key{
-			Src: src.IP.String(), Dst: "sink",
-			SrcPort: uint16(src.Port), DstPort: 9, Proto: flows.UDP,
+			Src: ip, Dst: "sink",
+			SrcPort: src.Port(), DstPort: 9, Proto: flows.UDP,
 		}
 		// One hash at intern time: the shard slot both routes the
 		// client's packets to their worker (shard mod workers keeps a
@@ -413,7 +422,7 @@ func (in *interner) get(src *net.UDPAddr) *clientEntry {
 		// drain path's grouped table pass.
 		ce = &clientEntry{
 			key:   key,
-			snr:   snrFor(src),
+			snr:   snrFor(ip),
 			shard: int32(in.gw.table.ShardIndex(key)),
 		}
 		if len(in.clients) >= maxInternedClients {
@@ -659,7 +668,7 @@ func newGateway(listen string, space excr.Space, opts gatewayOptions, reg *obs.R
 	})
 
 	start := time.Now()
-	return &gateway{
+	gw := &gateway{
 		conn:       conn,
 		sink:       sink,
 		space:      space,
@@ -689,7 +698,11 @@ func newGateway(listen string, space excr.Space, opts gatewayOptions, reg *obs.R
 		feedback: reg.Counter("exbox_gw_feedback_samples_total"),
 		admitLat: reg.Histogram("exbox_admit_seconds", nil),
 		ingest:   ingest,
-	}, nil
+
+		logSuppressed: reg.Counter("exbox_gw_decision_lines_suppressed_total"),
+	}
+	gw.logLeft.Store(decisionLogBudget)
+	return gw, nil
 }
 
 func (g *gateway) close() {
@@ -753,7 +766,15 @@ func (g *gateway) spawn(done chan struct{}, loops *sync.WaitGroup) {
 	loops.Add(1)
 	go func() {
 		defer loops.Done()
-		g.readLoop(done)
+		g.readLoop()
+	}()
+	// The read loop blocks in the socket read with no deadline; one
+	// deadline in the past, set when done closes, is what ends it.
+	loops.Add(1)
+	go func() {
+		defer loops.Done()
+		<-done
+		_ = g.conn.SetReadDeadline(time.Unix(1, 0)) // fails only on a closed socket, which ends the loop too
 	}()
 	for w := range g.rings {
 		loops.Add(1)
@@ -773,22 +794,17 @@ func (g *gateway) spawn(done chan struct{}, loops *sync.WaitGroup) {
 // push landed on the slot the consumer's cursor points at (see
 // ring.TryPushWake); every other push already has a drain pass
 // guaranteed by the entries queued ahead of it.
-func (g *gateway) readLoop(done chan struct{}) {
+//
+// The loop arms no deadline and allocates nothing per datagram; it ends
+// on the first read error — the expired deadline spawn sets at
+// shutdown, or a closed socket.
+func (g *gateway) readLoop() {
 	buf := make([]byte, 64*1024)
 	nw := len(g.rings)
 	in := newInterner(g)
 	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		g.conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		n, src, err := g.conn.ReadFromUDP(buf)
+		n, src, err := g.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
 			return
 		}
 		up := n > 0 && buf[0] == 'U'
@@ -924,7 +940,7 @@ func (g *gateway) processBurst(ws *workerState, pkts []pkt) {
 				}
 			}
 			if f.ReadyToClassify(t.HeadCap) {
-				if cand, conf, ok := g.classify(f); ok {
+				if cand, conf, ok := g.classify(t, f); ok {
 					candIdx[i] = int32(len(ws.cands))
 					ws.cands = append(ws.cands, cand)
 					ws.conf = append(ws.conf, conf)
@@ -1001,13 +1017,14 @@ func (g *gateway) applyDecisions(ws *workerState, pkts []pkt, candIdx []int32, f
 // classify runs traffic classification for a flow whose head filled
 // (processBurst) or that went quiet before it did (the silence sweep)
 // and returns its admission candidate with the classifier's
-// confidence. Caller holds the flow's shard lock.
-func (g *gateway) classify(f *flows.Flow) (exboxcore.BurstCandidate, float64, bool) {
+// confidence; the flow's head goes back to its table t. Caller holds
+// the flow's shard lock.
+func (g *gateway) classify(t *flows.Table, f *flows.Flow) (exboxcore.BurstCandidate, float64, bool) {
 	class, conf, err := g.fc.ClassifyFlow(f)
 	if err != nil {
 		return exboxcore.BurstCandidate{}, 0, false
 	}
-	f.Class, f.Classified = class, true
+	t.MarkClassified(f, class)
 	if f.Trace != nil {
 		f.Trace.SetClass(int(class))
 		f.Trace.Add(trace.Span{
@@ -1021,8 +1038,8 @@ func (g *gateway) classify(f *flows.Flow) (exboxcore.BurstCandidate, float64, bo
 // applyDecision is the one place an AdmitBurst outcome lands on its
 // flow, for head-filled and silence-classified flows alike: the
 // verdict, the gateway counters, the admitted-traffic matrix, trace
-// promotion on a rejection, and the per-flow log line. Caller holds
-// the flow's shard lock.
+// promotion on a rejection, and the (budgeted) per-flow log line.
+// Caller holds the flow's shard lock.
 func (g *gateway) applyDecision(f *flows.Flow, out exboxcore.Outcome, conf float64) {
 	f.Decided = true
 	f.Admitted = out.Verdict == exboxcore.Admit
@@ -1040,9 +1057,20 @@ func (g *gateway) applyDecision(f *flows.Flow, out exboxcore.Outcome, conf float
 			f.Trace.Add(exboxcore.DecisionSpan(time.Now().UnixNano(), 0, out))
 		}
 	}
+	if g.logLeft.Add(-1) < 0 {
+		g.logSuppressed.Inc()
+		return
+	}
 	log.Printf("flow %s classified %v (p=%.2f) snr=%v -> %v (margin %.2f)",
 		f.Key, f.Class, conf, f.SNR, out.Verdict, out.Decision.Margin)
 }
+
+// decisionLogBudget is how many per-flow decision lines applyDecision
+// may print per sweeper tick (500 ms). A console's worth of flows —
+// the six-flow demo — prints every line; under churn the line costs
+// more than the decision it reports, so the rest are only counted
+// (log_suppressed on the stats line).
+const decisionLogBudget = 8
 
 // level collapses a flow's SNR into the space the middlebox runs on,
 // the same rule ReevaluateWith applies.
@@ -1084,9 +1112,9 @@ func traceID(k flows.Key) trace.ID {
 // report. Link quality belongs to the radio, i.e. the host — hashing
 // the source port too would hand every flow from one client its own
 // SNR, which is not how a station's channel behaves.
-func snrFor(src *net.UDPAddr) excr.SNRLevel {
+func snrFor(ip string) excr.SNRLevel {
 	h := fnv.New32a()
-	h.Write([]byte(src.IP.String()))
+	h.Write([]byte(ip))
 	if h.Sum32()%4 == 0 {
 		return excr.SNRLow
 	}
@@ -1109,6 +1137,7 @@ func (g *gateway) sweeper(done chan struct{}) {
 		case <-done:
 			return
 		case <-tick.C:
+			g.logLeft.Store(decisionLogBudget)
 			g.sweep(time.Since(g.start).Seconds(), &ws)
 			if n++; n%10 == 0 {
 				g.logStats()
@@ -1177,12 +1206,13 @@ func (g *gateway) checkHealth() {
 // logStats emits the periodic one-line gateway summary from the same
 // registry the /metrics page serves.
 func (g *gateway) logStats() {
-	log.Printf("stats: fwd=%d drop=%d admit=%d reject=%d discont=%d expired=%d late=%d feedback=%d tracked=%d admit_p50=%.3gs p99=%.3gs ring_drops=%d burst_p50=%.3g p99=%.3g",
+	log.Printf("stats: fwd=%d drop=%d admit=%d reject=%d discont=%d expired=%d late=%d feedback=%d tracked=%d admit_p50=%.3gs p99=%.3gs ring_drops=%d burst_p50=%.3g p99=%.3g log_suppressed=%d",
 		g.forwarded.Value(), g.dropped.Value(), g.admitted.Value(),
 		g.rejected.Value(), g.evicted.Value(), g.expired.Value(),
 		g.lateClass.Value(), g.feedback.Value(), g.table.Len(),
 		g.admitLat.Quantile(0.5), g.admitLat.Quantile(0.99),
-		g.ingest.Drops.Value(), g.ingest.BurstSize.Quantile(0.5), g.ingest.BurstSize.Quantile(0.99))
+		g.ingest.Drops.Value(), g.ingest.BurstSize.Quantile(0.5), g.ingest.BurstSize.Quantile(0.99),
+		g.logSuppressed.Value())
 }
 
 func (g *gateway) sweep(now float64, ws *workerState) {
@@ -1192,12 +1222,10 @@ func (g *gateway) sweep(now float64, ws *workerState) {
 	// outcome applied under its flow's lock.
 	ws.cands, ws.conf = ws.cands[:0], ws.conf[:0]
 	var silent []flows.Key
+	quiet := func(f *flows.Flow) bool { return f.ReadyBySilence(now, classifySilence) }
 	g.table.Sweep(func(t *flows.Table) {
-		for _, f := range t.Active() {
-			if !f.ReadyBySilence(now, classifySilence) {
-				continue
-			}
-			if cand, conf, ok := g.classify(f); ok {
+		for _, f := range t.Select(quiet) {
+			if cand, conf, ok := g.classify(t, f); ok {
 				ws.cands = append(ws.cands, cand)
 				ws.conf = append(ws.conf, conf)
 				silent = append(silent, f.Key)
@@ -1263,14 +1291,15 @@ func (g *gateway) sweep(now float64, ws *workerState) {
 	var active []exboxcore.ActiveFlow
 	var keys []flows.Key
 	matrix := excr.NewMatrix(g.space)
+	admitted := func(f *flows.Flow) bool {
+		return f.Classified && f.Decided && f.Admitted && int(f.Class) < g.space.Classes
+	}
 	g.table.Sweep(func(t *flows.Table) {
-		for _, f := range t.Active() {
-			if f.Classified && f.Decided && f.Admitted && int(f.Class) < g.space.Classes {
-				lvl := g.level(f.SNR)
-				active = append(active, exboxcore.ActiveFlow{ID: len(active), Class: f.Class, Level: lvl, Trace: f.Trace})
-				keys = append(keys, f.Key)
-				matrix = matrix.Inc(f.Class, lvl)
-			}
+		for _, f := range t.Select(admitted) {
+			lvl := g.level(f.SNR)
+			active = append(active, exboxcore.ActiveFlow{ID: len(active), Class: f.Class, Level: lvl, Trace: f.Trace})
+			keys = append(keys, f.Key)
+			matrix = matrix.Inc(f.Class, lvl)
 		}
 	})
 	if len(active) == 0 {
@@ -1307,7 +1336,8 @@ func (g *gateway) report() {
 		g.admitted.Value(), g.rejected.Value(), g.evicted.Value())
 	fmt.Printf("packets forwarded: %d, dropped: %d\n", g.forwarded.Value(), g.dropped.Value())
 	fmt.Printf("flows expired: %d, late-classified: %d\n", g.expired.Value(), g.lateClass.Value())
-	for _, f := range g.table.Active() {
+	first, total := g.table.Oldest(reportFlows)
+	for _, f := range first {
 		verdict := "undecided"
 		if f.Decided {
 			verdict = "rejected"
@@ -1318,7 +1348,14 @@ func (g *gateway) report() {
 		fmt.Printf("  %-32s class=%-12v snr=%-4v pkts=%-6d bytes=%-8d %s\n",
 			f.Key, f.Class, f.SNR, f.Packets, f.Bytes, verdict)
 	}
+	if more := total - len(first); more > 0 {
+		fmt.Printf("  … and %d more\n", more)
+	}
 }
+
+// reportFlows is how many live flows the exit report lists, oldest
+// first; the rest are a count.
+const reportFlows = 32
 
 // sendTrace plays a synthetic class trace against the gateway from its
 // own UDP socket (one socket = one flow) until the trace ends, d

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/netip"
 	"strconv"
 	"strings"
 	"sync"
@@ -316,10 +317,14 @@ func TestGatewayTracingAndHealthEndToEnd(t *testing.T) {
 // from one client address must land in the same SNR bin regardless of
 // source port (link quality belongs to the host, not the socket).
 func TestSNRStablePerClient(t *testing.T) {
-	ip := net.ParseIP("10.1.2.3")
-	want := snrFor(&net.UDPAddr{IP: ip, Port: 1000})
-	for port := 1001; port < 1064; port++ {
-		if got := snrFor(&net.UDPAddr{IP: ip, Port: port}); got != want {
+	in := newInterner(burstGateway(t, 4))
+	ip := netip.MustParseAddr("10.1.2.3")
+	want := in.get(netip.AddrPortFrom(ip, 1000)).snr
+	if want != snrFor("10.1.2.3") {
+		t.Fatalf("interned SNR %v is not the address's bin %v", want, snrFor("10.1.2.3"))
+	}
+	for port := uint16(1001); port < 1064; port++ {
+		if got := in.get(netip.AddrPortFrom(ip, port)).snr; got != want {
 			t.Fatalf("client SNR changed with source port %d: %v != %v", port, got, want)
 		}
 	}

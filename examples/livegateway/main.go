@@ -123,7 +123,7 @@ func main() {
 			}
 			if f.ReadyToClassify(table.HeadCap) {
 				if class, _, err := fc.ClassifyFlow(f); err == nil {
-					f.Class, f.Classified = class, true
+					table.MarkClassified(f, class)
 					f.Trace.SetClass(int(class))
 					f.Trace.Add(trace.Span{Kind: trace.KindClassify, UnixNanos: time.Now().UnixNano(), Note: class.String()})
 					// Propagate the flow's SNR with the same collapse

@@ -98,9 +98,14 @@ type PacketMeta struct {
 
 // Flow is the table's per-flow record.
 type Flow struct {
-	Key  Key
-	SNR  excr.SNRLevel // wireless link quality of the client, as reported by the AP/eNodeB
-	Head []PacketMeta  // first packets, capped at the table's HeadCap
+	Key Key
+	SNR excr.SNRLevel // wireless link quality of the client, as reported by the AP/eNodeB
+	// Head is the flow's first packets: allocated once at exactly the
+	// table's HeadCap, appended to until the flow is Classified, and
+	// handed back to the table by MarkClassified (nil from then on).
+	// Only traffic classification and the Ready* predicates read it;
+	// the storage is the table's, so copies of a Flow must not.
+	Head []PacketMeta
 
 	Packets   int
 	Bytes     int
@@ -146,7 +151,17 @@ type Table struct {
 	IdleTimeout float64
 
 	flows map[Key]*Flow
+	// spare holds head buffers released by classified flows for new
+	// flows to draw from: in steady state a flow's head costs no
+	// allocation. Bounded, so a classification burst cannot park more
+	// than maxSpareHeads buffers here.
+	spare [][]PacketMeta
 }
+
+// maxSpareHeads bounds a table's spare-head list. A table hands out one
+// head per new flow and gets one back per classification, so the list
+// only has to absorb the jitter between the two.
+const maxSpareHeads = 16
 
 // NewTable returns a table keeping headCap packets per flow and
 // expiring flows idle longer than idleTimeout seconds.
@@ -185,7 +200,7 @@ func (t *Table) Observe(k Key, p PacketMeta) *Flow {
 			f = rf
 			p.Up = !p.Up
 		} else {
-			f = &Flow{Key: k, FirstSeen: p.Time, LastSeen: p.Time}
+			f = &Flow{Key: k, FirstSeen: p.Time, LastSeen: p.Time, Head: t.newHead()}
 			t.flows[k] = f
 		}
 	}
@@ -219,9 +234,35 @@ func (t *Table) observeInto(f *Flow, p PacketMeta) {
 	if p.Time > f.LastSeen && !(f.Decided && !f.Admitted) {
 		f.LastSeen = p.Time
 	}
-	if len(f.Head) < t.HeadCap {
+	if !f.Classified && len(f.Head) < t.HeadCap {
 		f.Head = append(f.Head, p)
 	}
+}
+
+// newHead returns an empty head buffer of capacity HeadCap: a spare one
+// when there is one, a fresh one otherwise.
+func (t *Table) newHead() []PacketMeta {
+	if n := len(t.spare); n > 0 {
+		h := t.spare[n-1]
+		t.spare = t.spare[:n-1]
+		return h
+	}
+	return make([]PacketMeta, 0, t.HeadCap)
+}
+
+// MarkClassified records the class traffic classification resolved for
+// f and takes the flow's head back: nothing reads a classified flow's
+// head again, so its buffer goes to the next new flow instead of
+// staying pinned for the flow's life. f must be a live flow of this
+// table.
+func (t *Table) MarkClassified(f *Flow, class excr.AppClass) {
+	f.Class, f.Classified = class, true
+	// HeadCap is an exported field: a head sized before someone changed
+	// it must not be handed to a flow created after.
+	if len(t.spare) < maxSpareHeads && cap(f.Head) == t.HeadCap {
+		t.spare = append(t.spare, f.Head[:0])
+	}
+	f.Head = nil
 }
 
 // Expire removes and returns flows idle past the timeout at time now,
@@ -242,9 +283,19 @@ func (t *Table) Expire(now float64) []*Flow {
 // Active returns the live flows sorted by first-seen time (flow key on
 // ties).
 func (t *Table) Active() []*Flow {
-	out := make([]*Flow, 0, len(t.flows))
+	return t.Select(func(*Flow) bool { return true })
+}
+
+// Select returns the live flows keep accepts, in Active's order. The
+// periodic sweeps want a few flows out of a large table (the silent
+// undecided ones, the admitted ones): filtering first sorts only
+// those.
+func (t *Table) Select(keep func(*Flow) bool) []*Flow {
+	var out []*Flow
 	for _, f := range t.flows {
-		out = append(out, f)
+		if keep(f) {
+			out = append(out, f)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return flowBefore(out[i], out[j]) })
 	return out

@@ -265,3 +265,27 @@ func (st *ShardedTable) Active() []Flow {
 	sort.Slice(out, func(i, j int) bool { return flowBefore(&out[i], &out[j]) })
 	return out
 }
+
+// Oldest returns copies of the first n flows in Active's order and the
+// number of flows tracked, without copying or sorting the rest: a
+// listing for people reads a screenful however large the table is.
+func (st *ShardedTable) Oldest(n int) (first []Flow, total int) {
+	if n <= 0 {
+		return nil, st.Len()
+	}
+	st.Sweep(func(t *Table) {
+		total += len(t.flows)
+		for _, f := range t.flows {
+			if len(first) == n && !flowBefore(f, &first[n-1]) {
+				continue
+			}
+			i := sort.Search(len(first), func(i int) bool { return flowBefore(f, &first[i]) })
+			if len(first) < n {
+				first = append(first, Flow{})
+			}
+			copy(first[i+1:], first[i:])
+			first[i] = *f
+		}
+	})
+	return first, total
+}

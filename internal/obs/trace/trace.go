@@ -14,11 +14,14 @@
 //
 // A FlowTrace is published into the ring when it starts, so in-flight
 // traces are visible to scrapes; spans are appended under a per-trace
-// mutex that only sampled flows ever touch. Span storage is a
-// fixed-capacity slice allocated once per trace — appends never grow
-// it, and periodic spans (monitor verdicts) coalesce into their
-// predecessor instead of accumulating, so a long-lived flow's trace
-// stays bounded.
+// mutex that only sampled flows ever touch. Span storage belongs to
+// the ring slot, not to the trace: a starting trace takes over the
+// fixed-capacity span array of the trace it pushes out of the ring, so
+// the tracer owns ring-size arrays however many flows still hold a
+// *FlowTrace. An evicted trace can no longer be scraped; it counts any
+// further span as dropped. Appends never grow the array, and periodic
+// spans (monitor verdicts) coalesce into their predecessor instead of
+// accumulating, so a long-lived flow's trace stays bounded.
 package trace
 
 import (
@@ -136,9 +139,9 @@ type Span struct {
 }
 
 // maxSpans caps the spans kept per trace. The storage is allocated
-// once when the trace starts; later spans are counted as dropped
-// rather than grown into. Coalescing keeps ordinary lifecycles far
-// below the cap.
+// once per ring slot and handed from trace to trace (Tracer.Start);
+// later spans are counted as dropped rather than grown into.
+// Coalescing keeps ordinary lifecycles far below the cap.
 const maxSpans = 24
 
 // FlowTrace accumulates one flow's spans. It is created by a Tracer
@@ -154,14 +157,14 @@ type FlowTrace struct {
 	mu      sync.Mutex
 	class   int
 	level   int
-	spans   []Span
+	spans   []Span // the ring slot's array; nil once evicted from the ring
 	dropped int
 	verdict string // latest decision / re-evaluation verdict
 	done    bool
 }
 
 // Add appends one span, dropping it (and counting the drop) when the
-// trace is at capacity.
+// trace is at capacity or has been evicted from the ring.
 func (ft *FlowTrace) Add(s Span) {
 	if ft == nil {
 		return
@@ -249,6 +252,13 @@ type View struct {
 
 // View snapshots the trace.
 func (ft *FlowTrace) View() View {
+	v, _ := ft.view()
+	return v
+}
+
+// view is View plus whether the trace still owns its spans; a scrape
+// that loaded the pointer just before its eviction skips it.
+func (ft *FlowTrace) view() (View, bool) {
 	ft.mu.Lock()
 	v := View{
 		ID:       fmt.Sprintf("%016x", uint64(ft.id)),
@@ -261,14 +271,15 @@ func (ft *FlowTrace) View() View {
 		Dropped:  ft.dropped,
 		Spans:    append([]Span(nil), ft.spans...),
 	}
+	resident := ft.spans != nil
 	ft.mu.Unlock()
-	return v
+	return v, resident
 }
 
-// Tracer owns the sampling decision and the bounded ring of published
-// traces. Writers claim a slot with one atomic increment and publish
-// with one atomic pointer store, exactly like the decision audit ring;
-// readers snapshot without blocking writers. All methods are nil-safe.
+// Tracer owns the sampling decision, the bounded ring of published
+// traces and their span arrays. Writers claim a slot with one atomic
+// increment and publish with one atomic pointer swap; readers snapshot
+// without blocking the ring. All methods are nil-safe.
 type Tracer struct {
 	slots      []atomic.Pointer[FlowTrace]
 	seq        atomic.Uint64
@@ -330,21 +341,37 @@ func (tr *Tracer) Sampled(id ID) bool {
 // Start creates a trace for a head-sampled flow and publishes it into
 // the ring immediately, so in-flight traces are scrape-visible. The
 // class may be -1 until classification resolves it (SetClass).
+//
+// The new trace takes over the span array of the trace it pushes out
+// of its slot, so a start allocates the trace header only once the
+// ring has wrapped. The slot is swapped, not loaded and stored: two
+// starts landing on one slot then see different predecessors and
+// cannot adopt the same array. The new trace's mutex is held from
+// before the swap until the array is in place, so whoever evicts it
+// next — or scrapes it — waits for the hand-over instead of finding a
+// trace without storage; locks are only ever taken newer-then-older,
+// so the waits cannot form a cycle.
 func (tr *Tracer) Start(id ID, cell string, class, level int, reason string) *FlowTrace {
 	if tr == nil {
 		return nil
 	}
-	ft := &FlowTrace{
-		id:     id,
-		cell:   cell,
-		class:  class,
-		level:  level,
-		reason: reason,
-		spans:  make([]Span, 0, maxSpans),
-	}
+	ft := &FlowTrace{id: id, cell: cell, class: class, level: level, reason: reason}
 	tr.started.Add(1)
 	seq := tr.seq.Add(1)
-	tr.slots[(seq-1)&uint64(len(tr.slots)-1)].Store(ft)
+	ft.mu.Lock()
+	if old := tr.slots[(seq-1)&uint64(len(tr.slots)-1)].Swap(ft); old != nil {
+		old.mu.Lock()
+		spans := old.spans
+		old.spans = nil
+		old.mu.Unlock()
+		// Spans hold strings (verdict, note); don't pin the old flow's.
+		// Everything past len is still zero from the previous hand-over.
+		clear(spans)
+		ft.spans = spans[:0]
+	} else {
+		ft.spans = make([]Span, 0, maxSpans)
+	}
+	ft.mu.Unlock()
 	return ft
 }
 
@@ -399,7 +426,9 @@ func (tr *Tracer) Snapshot() []View {
 	}
 	for s := start; s < start+n; s++ {
 		if p := tr.slots[s&(n-1)].Load(); p != nil {
-			out = append(out, p.View())
+			if v, resident := p.view(); resident {
+				out = append(out, v)
+			}
 		}
 	}
 	return out

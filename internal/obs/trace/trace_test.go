@@ -2,6 +2,8 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -227,5 +229,150 @@ func TestConcurrentTracing(t *testing.T) {
 	readers.Wait()
 	if tr.Started() != 2000 {
 		t.Fatalf("Started = %d, want 2000", tr.Started())
+	}
+}
+
+// TestSpanStorageBelongsToRing pins the memory contract: span arrays
+// are handed from the trace leaving a ring slot to the one entering
+// it, so holding every *FlowTrace ever started — as a flow table of
+// rejected flows does — retains ring-capacity arrays, not one per
+// trace. Evicted traces count further spans as dropped.
+func TestSpanStorageBelongsToRing(t *testing.T) {
+	const ringCap, n = 256, 10 * 256
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	tr := New(ringCap, 1)
+	held := make([]*FlowTrace, n)
+	for i := range held {
+		held[i] = tr.Promote(ID(i), "c", 0, 0, "rejected", int64(i))
+		held[i].Add(Span{Kind: KindDecision, UnixNanos: int64(i), Verdict: "reject", Model: uint64(i)})
+	}
+
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// One array per trace would be n x 24 x 96 B = 5.9 MB; the ring's
+	// share is a tenth of that, plus n trace headers.
+	if grew := int64(after.HeapInuse) - int64(before.HeapInuse); grew > 2<<20 {
+		t.Errorf("HeapInuse grew %d KiB holding %d traces of a %d-slot ring, want < 2 MiB", grew>>10, n, ringCap)
+	}
+
+	for i, ft := range held[:n-ringCap] {
+		ft.Add(Span{Kind: KindExpiry})
+		ft.AddCoalesced(Span{Kind: KindMonitor, Verdict: "keep"})
+		if v := ft.View(); len(v.Spans) != 0 || v.Dropped != 2 {
+			t.Fatalf("evicted trace %d: %d spans, %d dropped; want 0 and 2", i, len(v.Spans), v.Dropped)
+		}
+	}
+	views := tr.Snapshot()
+	if len(views) != ringCap {
+		t.Fatalf("snapshot holds %d traces, want the %d ring residents", len(views), ringCap)
+	}
+	for i, v := range views {
+		want := uint64(n - ringCap + i)
+		if v.ID != fmt.Sprintf("%016x", want) || len(v.Spans) != 2 || v.Dropped != 0 ||
+			v.Spans[0].Kind != KindArrival || v.Spans[0].Note != "backfilled" ||
+			v.Spans[1].Kind != KindDecision || v.Spans[1].Model != want {
+			t.Fatalf("resident %d (want id %x) lost spans: %+v", i, want, v)
+		}
+	}
+	runtime.KeepAlive(held)
+}
+
+// TestStartSteadyStateAllocs: once the ring has wrapped, a start
+// allocates the trace header and nothing else.
+func TestStartSteadyStateAllocs(t *testing.T) {
+	tr := New(8, 1)
+	for i := 0; i < 8; i++ {
+		tr.Start(ID(i), "c", 0, 0, "sampled")
+	}
+	i := 8
+	if got := testing.AllocsPerRun(1000, func() {
+		ft := tr.Start(ID(i), "c", 0, 0, "sampled")
+		ft.Add(Span{Kind: KindArrival, UnixNanos: int64(i)})
+		i++
+	}); got != 1 {
+		t.Fatalf("steady-state Start allocates %v times, want 1", got)
+	}
+}
+
+// TestSlotHandOverStress hammers a 2-slot ring from several goroutines
+// so starts constantly evict traces that are themselves mid-start or
+// mid-append. Every span carries its trace's ID: a scraped trace
+// holding a foreign span means two traces shared one array. Run with
+// -race -count=10.
+func TestSlotHandOverStress(t *testing.T) {
+	tr := New(2, 1)
+	const writers, perWriter = 4, 400
+	held := make([][]*FlowTrace, writers)
+	stop := make(chan struct{})
+	var scrapes sync.WaitGroup
+	scrapes.Add(1)
+	go func() {
+		defer scrapes.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			views := tr.Snapshot()
+			if len(views) > 2 {
+				t.Errorf("2-slot ring served %d traces", len(views))
+			}
+			for _, v := range views {
+				if len(v.Spans) > maxSpans {
+					t.Errorf("trace %s grew to %d spans", v.ID, len(v.Spans))
+				}
+				for _, sp := range v.Spans {
+					// Promote's backfilled arrival is the one unstamped span.
+					if sp.Kind != KindArrival && fmt.Sprintf("%016x", sp.Model) != v.ID {
+						t.Errorf("trace %s holds a span of trace %016x", v.ID, sp.Model)
+					}
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				id := uint64(w*perWriter + i + 1)
+				var ft *FlowTrace
+				if i%2 == 0 {
+					ft = tr.Start(ID(id), "c", 0, 0, "sampled")
+				} else {
+					ft = tr.Promote(ID(id), "c", 0, 0, "rejected", 0)
+				}
+				ft.Add(Span{Kind: KindDecision, Verdict: "reject", Model: id})
+				ft.AddCoalesced(Span{Kind: KindMonitor, Verdict: "keep", Model: id})
+				ft.AddCoalesced(Span{Kind: KindMonitor, Verdict: "keep", Model: id})
+				ft.Close()
+				held[w] = append(held[w], ft)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	scrapes.Wait()
+
+	owners := 0
+	arrays := map[*Span]bool{}
+	for _, hs := range held {
+		for _, ft := range hs {
+			if ft.spans != nil {
+				owners++
+				arrays[&ft.spans[:1][0]] = true
+			}
+		}
+	}
+	if owners != 2 || len(arrays) != 2 {
+		t.Fatalf("%d traces own %d span arrays after the run, want the ring's 2 and 2", owners, len(arrays))
+	}
+	if got := tr.Started(); got != writers*perWriter {
+		t.Fatalf("Started = %d, want %d", got, writers*perWriter)
 	}
 }
