@@ -1,12 +1,15 @@
 // Command exbench regenerates the data behind every figure of the
 // ExBox paper's evaluation. It prints each figure as an aligned text
 // table (the same rows/series the paper plots) so results can be
-// diffed against EXPERIMENTS.md.
+// diffed against EXPERIMENTS.md. Standard output is deterministic for
+// a scale (full_results.txt is `-scale full`'s, byte for byte); each
+// figure's wall time goes to standard error as a `[figN @ scale: t]`
+// line.
 //
 // Usage:
 //
 //	exbench [-scale quick|full] [-figure all|fig2|fig3|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14]
-//	exbench -bench [-benchout BENCH_pr3.json] [-benchcount 5]
+//	exbench -bench [-benchout exbench-bench.json] [-benchcount 5]
 //
 // Quick scale shrinks sample counts for fast runs while preserving the
 // qualitative shapes; full scale matches the paper's sizes (Figure 13
@@ -88,7 +91,8 @@ func main() {
 		}
 		start := time.Now()
 		r.run()
-		fmt.Printf("[%s @ %s scale: %v]\n\n", r.id, scale, time.Since(start).Round(time.Millisecond))
+		fmt.Println()
+		fmt.Fprintf(os.Stderr, "[%s @ %s scale: %v]\n", r.id, scale, time.Since(start).Round(time.Millisecond))
 		ran = true
 	}
 	if !ran {

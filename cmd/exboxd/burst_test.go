@@ -308,7 +308,7 @@ func ingestWorkload(tb testing.TB, gw *gateway, nFlows, trainLen int, warm func(
 // ring with the production wake protocol (exactly what readLoop does
 // after the socket read), the consumer drains bursts and runs
 // processBurst. The pre-burst per-packet baseline it replaced (3.4×
-// slower on this workload) is frozen in BENCH_pr9.json.
+// slower on this workload) is recorded in CHANGES.md.
 func BenchmarkIngestBurst(b *testing.B) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(os.Stderr)

@@ -216,6 +216,16 @@ type Scratch struct {
 	batch []float64   // FastPredictor.DecisionBatch workspace
 	bad   []bool      // per-row forced-reject marks (see scoreBatch)
 	one   [1]Decision // Decide's batch-of-one destination
+	seen  []seenTuple // DecideBurst's distinct tuples of the current segment
+}
+
+// seenTuple is one (class, level) DecideBurst has already scored on the
+// current segment's matrix, with its decision and scoreBatch's bad mark.
+type seenTuple struct {
+	class excr.AppClass
+	level excr.SNRLevel
+	d     Decision
+	bad   bool
 }
 
 // scratchPool backs plain Decide so callers that don't hold their own
@@ -727,7 +737,7 @@ func (ac *AdmittanceClassifier) Decide(a excr.Arrival) Decision {
 	s := scratchPool.Get().(*Scratch)
 	// The one-element arrival slice stays on the stack: scoreBatch only
 	// reads it.
-	d := ac.scoreBatch(s.one[:0], []excr.Arrival{a}, s)[0]
+	d := ac.scoreBatch(ac.state.Load(), s.one[:0], []excr.Arrival{a}, s)[0]
 	ac.recordDecision(d, s.bad[0])
 	scratchPool.Put(s)
 	return d
@@ -747,18 +757,83 @@ func (ac *AdmittanceClassifier) DecideBatch(dst []Decision, arrivals []excr.Arri
 		s = scratchPool.Get().(*Scratch)
 		defer scratchPool.Put(s)
 	}
-	dst = ac.scoreBatch(dst, arrivals, s)
+	dst = ac.scoreBatch(ac.state.Load(), dst, arrivals, s)
 	for i, d := range dst {
 		ac.recordDecision(d, s.bad[i])
 	}
 	return dst
 }
 
+// DecideBurst decides a burst of sequential arrivals from one ingest
+// path, reproducing the per-packet matrix dynamics: arrival k is
+// decided on base plus every earlier arrival of the burst that was
+// admitted and lies inside the space (an out-of-space arrival is
+// decided but never joins the matrix). The caller sets Class and Level
+// of each arrivals[k]; DecideBurst fills in the Matrix it was decided
+// on. Decisions are written into dst (grown when too small) and
+// returned.
+//
+// The whole burst reads one model snapshot, so a concurrent refit
+// cannot change the boundary mid-burst. Within one snapshot a decision
+// is a function of (matrix, class, level) alone, and the matrix only
+// moves at an in-space admit; so each distinct (class, level) of a
+// segment between two such admits is scored once and its decision
+// reused for the segment's repeats — an overloaded cell, where every
+// arrival is rejected, scores at most Space.Dim() in-space tuples a
+// burst. Every arrival's decision is still recorded (recordDecision),
+// exactly as DecideBatch of one per arrival would. A burst allocates
+// one matrix per in-space admit that is not its last arrival; with a
+// caller-owned Scratch it allocates nothing else.
+func (ac *AdmittanceClassifier) DecideBurst(dst []Decision, arrivals []excr.Arrival, base excr.Matrix, s *Scratch) []Decision {
+	n := len(arrivals)
+	if cap(dst) < n {
+		dst = make([]Decision, n)
+	}
+	dst = dst[:n]
+	if n == 0 {
+		return dst
+	}
+	if s == nil {
+		s = scratchPool.Get().(*Scratch)
+		defer scratchPool.Put(s)
+	}
+	st := ac.state.Load()
+	// grew: the previous arrival was admitted and joins the matrix. The
+	// copy is made only when another arrival follows, so a burst of one
+	// allocates nothing. seen holds the current segment's distinct
+	// tuples; a segment rarely has more than a handful (in-space tuples
+	// are bounded by Space.Dim()), so a linear scan beats a map.
+	mat, grew := base, false
+	seen := s.seen[:0]
+	for k := range arrivals {
+		a := &arrivals[k]
+		if grew {
+			mat = mat.Inc(arrivals[k-1].Class, arrivals[k-1].Level)
+			seen = seen[:0]
+		}
+		a.Matrix = mat
+		i := 0
+		for i < len(seen) && (seen[i].class != a.Class || seen[i].level != a.Level) {
+			i++
+		}
+		if i == len(seen) {
+			d := ac.scoreBatch(st, s.one[:0], arrivals[k:k+1], s)[0]
+			seen = append(seen, seenTuple{class: a.Class, level: a.Level, d: d, bad: s.bad[0]})
+		}
+		dst[k] = seen[i].d
+		ac.recordDecision(seen[i].d, seen[i].bad)
+		grew = dst[k].Admit && int(a.Class) >= 0 && int(a.Class) < ac.space.Classes &&
+			int(a.Level) >= 0 && int(a.Level) < ac.space.Levels
+	}
+	s.seen = seen
+	return dst
+}
+
 // recordDecision is the one place a decision reaches telemetry: the
 // verdict counter, margin histogram and health sample (or the
 // bootstrap/bad-feature counters). bad is scoreBatch's mark for the row
-// d came from. Decide and DecideBatch call it for every decision they
-// return.
+// d came from. Decide, DecideBatch and DecideBurst call it for every
+// decision they return.
 func (ac *AdmittanceClassifier) recordDecision(d Decision, bad bool) {
 	if d.Bootstrap {
 		ac.metrics.BootstrapDecisions.Inc()
@@ -781,20 +856,19 @@ func (ac *AdmittanceClassifier) recordDecision(d Decision, bad bool) {
 	}
 }
 
-// scoreBatch is the scoring core of Decide and DecideBatch, and the
-// only place that selects the scoring tier and applies the
-// feature-boundary guards: extract features into the scratch slab,
-// score the whole batch against one model snapshot, and write the
-// decisions — recording no telemetry.
+// scoreBatch is the scoring core of Decide, DecideBatch and
+// DecideBurst, and the only place that selects the scoring tier and
+// applies the feature-boundary guards: extract features into the
+// scratch slab, score the whole batch against the caller's model
+// snapshot st, and write the decisions — recording no telemetry.
 // s.bad[i] marks rows forced to reject at the feature boundary
 // (including NaN margins). Caller guarantees n > 0 and s != nil.
-func (ac *AdmittanceClassifier) scoreBatch(dst []Decision, arrivals []excr.Arrival, s *Scratch) []Decision {
+func (ac *AdmittanceClassifier) scoreBatch(st *modelSnapshot, dst []Decision, arrivals []excr.Arrival, s *Scratch) []Decision {
 	n := len(arrivals)
 	if cap(dst) < n {
 		dst = make([]Decision, n)
 	}
 	dst = dst[:n]
-	st := ac.state.Load()
 	if cap(s.bad) < n {
 		s.bad = make([]bool, n)
 	}

@@ -69,12 +69,14 @@ type BurstCandidate struct {
 }
 
 // BurstScratch is caller-owned workspace for AdmitBurst: the
-// classifier scratch and the arrival each candidate was scored on (the
-// audit records need it after the loop). One per worker, grown on
-// demand, reused across bursts. Must not be shared concurrently.
+// classifier scratch, and the arrival each candidate was decided on
+// with its decision (the outcomes and audit records need them after
+// the classifier returns). One per worker, grown on demand, reused
+// across bursts. Must not be shared concurrently.
 type BurstScratch struct {
 	clf      classifier.Scratch
 	arrivals []excr.Arrival
+	dec      []classifier.Decision
 }
 
 // AdmitBurst runs admission control for a burst of sequential
@@ -86,19 +88,20 @@ type BurstScratch struct {
 // TrackAdmitted for the admitted outcomes afterwards. This is the
 // admission primitive: single-arrival Admit is a burst of one.
 //
-// It is a loop: each candidate, in packet order, is scored once against
-// the running matrix (classifier.DecideBatch of one, which also records
-// the classifier's counters, margin and health sample), and an in-space
-// admit moves the matrix for the candidates after it. Middlebox
-// telemetry follows in a second pass so the whole burst shares one
-// end-of-burst clock read: the audit-ring record against the matrix the
-// candidate was scored on, the 1-in-N-sampled latency histogram (one
-// observation of the burst's per-decision average for every decision
-// whose audit sequence number is a multiple of N), and the decision
-// span on traced candidates. An untraced, unsampled burst reads the
-// clock once (the audit stamp) and allocates one matrix per in-space
-// admit that is not the burst's last candidate, so a burst of one is
-// allocation-free. A nil bs allocates locally.
+// The decisions are one classifier.DecideBurst: one model snapshot for
+// the whole burst, each distinct (class, level) scored once per
+// stretch of candidates between two in-space admits, and the
+// classifier's counters, margin and health sample recorded for every
+// candidate. Middlebox telemetry follows in a second pass so the whole
+// burst shares one end-of-burst clock read: the audit-ring record
+// against the matrix the candidate was decided on (its key string
+// built once per distinct matrix), the 1-in-N-sampled latency
+// histogram (one observation of the burst's per-decision average for
+// every decision whose audit sequence number is a multiple of N), and
+// the decision span on traced candidates. An untraced, unsampled burst
+// reads the clock once (the audit stamp) and allocates one matrix per
+// in-space admit that is not the burst's last candidate, so a burst of
+// one is allocation-free. A nil bs allocates locally.
 func (mb *Middlebox) AdmitBurst(id CellID, base excr.Matrix, cands []BurstCandidate, dst []Outcome, bs *BurstScratch) ([]Outcome, error) {
 	cell, ok := mb.cell(id)
 	if !ok {
@@ -140,24 +143,12 @@ func (mb *Middlebox) AdmitBurst(id CellID, base excr.Matrix, cands []BurstCandid
 		bs.arrivals = make([]excr.Arrival, n)
 	}
 	arrivals := bs.arrivals[:n]
-
-	// grew: the previous candidate was admitted and joins the matrix.
-	// The copy is made only when another candidate follows, so a burst
-	// of one allocates nothing.
-	mat, grew := base, false
-	var one [1]classifier.Decision
 	for g, c := range cands {
-		if grew {
-			mat = mat.Inc(cands[g-1].Class, cands[g-1].Level)
-		}
-		arrivals[g] = excr.Arrival{Matrix: mat, Class: c.Class, Level: c.Level}
-		d := cell.Classifier.DecideBatch(one[:0], arrivals[g:g+1], &bs.clf)[0]
+		arrivals[g] = excr.Arrival{Class: c.Class, Level: c.Level}
+	}
+	bs.dec = cell.Classifier.DecideBurst(bs.dec, arrivals, base, &bs.clf)
+	for g, d := range bs.dec {
 		dst[g] = Outcome{Cell: id, Decision: d, Verdict: mb.verdict(d)}
-		// Only in-space (class, level) cells contribute to the matrix,
-		// mirroring ShardedTable.tracked; levels are already collapsed by
-		// the caller.
-		grew = d.Admit && int(c.Class) >= 0 && int(c.Class) < mb.Space.Classes &&
-			int(c.Level) >= 0 && int(c.Level) < mb.Space.Levels
 	}
 
 	var endOff, perDec time.Duration
@@ -174,8 +165,12 @@ func (mb *Middlebox) AdmitBurst(id CellID, base excr.Matrix, cands []BurstCandid
 		perDec = (endOff - startOff) / time.Duration(n)
 	}
 	nowNanos := epochNanos + int64(endOff)
+	var key string // audit key of the current matrix, built once per distinct matrix
 	for g, out := range dst {
-		mb.recordOutcome(cell, arrivals[g], out, endOff)
+		if mb.obs != nil && (g == 0 || !arrivals[g].Matrix.Equal(arrivals[g-1].Matrix)) {
+			key = arrivals[g].Matrix.Key()
+		}
+		mb.recordOutcome(cell, arrivals[g], key, out, endOff)
 		if ft := cands[g].Trace; ft != nil {
 			ft.Add(DecisionSpan(nowNanos, perDec.Nanoseconds(), out))
 		}

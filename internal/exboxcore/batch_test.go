@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"exbox/internal/apps"
@@ -556,4 +557,173 @@ func TestAdmitObserveMixedSteadyStateAllocs(t *testing.T) {
 		t.Errorf("mixed Observe/Admit steady state: %v allocs/op, want 0", got)
 	}
 	_ = sink
+}
+
+// countingLearner is the stock SVM with every model it trains wrapped
+// to count the rows it scores, through whichever entry point the
+// classifier calls.
+type countingLearner struct {
+	learner.SVM
+	rows *atomic.Int64
+}
+
+func (l countingLearner) Train(x [][]float64, y []float64, keys []string, stats *svm.SolveStats) (learner.Predictor, bool, error) {
+	p, warm, err := l.SVM.Train(x, y, keys, stats)
+	if err != nil {
+		return nil, false, err
+	}
+	return countingPredictor{p.(learner.FastPredictor), l.rows}, warm, nil
+}
+
+type countingPredictor struct {
+	learner.FastPredictor
+	rows *atomic.Int64
+}
+
+func (p countingPredictor) Decision(row []float64) float64 {
+	p.rows.Add(1)
+	return p.FastPredictor.Decision(row)
+}
+
+func (p countingPredictor) DecisionInto(dst, row []float64) float64 {
+	p.rows.Add(1)
+	return p.FastPredictor.DecisionInto(dst, row)
+}
+
+func (p countingPredictor) DecisionBatch(dst []float64, rows [][]float64, scratch []float64) []float64 {
+	p.rows.Add(int64(len(rows)))
+	return p.FastPredictor.DecisionBatch(dst, rows, scratch)
+}
+
+// overloadedBase is a mixed-SNR matrix outside the region
+// overloadedMiddlebox learns: every (class, level) arriving on it is
+// rejected.
+var overloadedBase = excr.MatrixFromCounts(excr.MixedSNRSpace, []int{2, 2, 2, 2, 2, 2})
+
+// testbedSamples draws n arrivals of the paper's Random population on
+// the mixed-SNR space (SNR levels assigned per client), labeled by the
+// testbed WiFi cell's oracle.
+func testbedSamples(seed int64, n int) []excr.Sample {
+	space := excr.MixedSNRSpace
+	oracle := apps.Oracle{Net: netsim.FluidWiFi{Config: netsim.TestbedWiFi()}}
+	rng := mathx.NewRand(seed)
+	assign := traffic.RandomLevels(rng, space)
+	var out []excr.Sample
+	for len(out) < n {
+		for _, e := range traffic.Arrivals(traffic.Random(rng, 64, 7, 0, space), assign) {
+			out = append(out, excr.Sample{Arrival: e.Arrival, Label: oracle.Label(e.Arrival)})
+		}
+	}
+	return out[:n]
+}
+
+// overloadedMiddlebox is one mixed-SNR cell trained online from 400
+// testbedSamples (admit_lib's model), learning through l (nil: the
+// default) and instrumented into reg when reg is non-nil.
+func overloadedMiddlebox(tb testing.TB, l learner.Learner, reg *obs.Registry) *Middlebox {
+	tb.Helper()
+	mb := New(excr.MixedSNRSpace, Discontinue)
+	if reg != nil {
+		mb.Instrument(reg, 1024)
+	}
+	cfg := classifier.DefaultConfig()
+	cfg.Learner = l
+	if _, err := mb.AddCell("ap", cfg); err != nil {
+		tb.Fatal(err)
+	}
+	for _, s := range testbedSamples(1, 400) {
+		if err := mb.Observe("ap", s); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if mb.Cell("ap").Classifier.Bootstrapping() {
+		tb.Fatal("cell did not graduate")
+	}
+	return mb
+}
+
+// cycleCands returns n candidates cycling through every (class, level)
+// of space.
+func cycleCands(space excr.Space, n int) []BurstCandidate {
+	cands := make([]BurstCandidate, n)
+	for i := range cands {
+		j := i % space.Dim()
+		cands[i] = BurstCandidate{Class: excr.AppClass(j % space.Classes), Level: excr.SNRLevel(j / space.Classes)}
+	}
+	return cands
+}
+
+// TestAdmitBurstScoresDistinctTuplesOnce pins what a burst costs the
+// model: one evaluation per distinct (class, level) of each stretch of
+// candidates between two in-space admits — an overloaded cell scores a
+// 32-candidate burst Space.Dim() times — while everything recorded per
+// candidate (classifier verdict counters, margin histogram, audit
+// records on the matrix each was decided on) still counts all 32.
+func TestAdmitBurstScoresDistinctTuplesOnce(t *testing.T) {
+	var rows atomic.Int64
+	reg := obs.NewRegistry()
+	mb := overloadedMiddlebox(t, countingLearner{learner.SVM{Config: classifier.DefaultConfig().SVM}, &rows}, reg)
+	space := mb.Space
+	cands := cycleCands(space, 32)
+	clfAdmits := reg.Counter("exbox_cell_ap_clf_admit_total")
+	clfRejects := reg.Counter("exbox_cell_ap_clf_reject_total")
+	margins := reg.HistogramNoSum("exbox_cell_ap_clf_margin", nil)
+	for _, tc := range []struct {
+		name string
+		base excr.Matrix
+	}{
+		{"overloaded", overloadedBase},
+		{"empty", excr.NewMatrix(space)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			decisions := clfAdmits.Value() + clfRejects.Value()
+			marginN := margins.Count()
+			rows.Store(0)
+			dst, err := mb.AdmitBurst("ap", tc.base, cands, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Replay the burst per packet: the matrix each candidate was
+			// decided on, and the distinct tuples of each stretch.
+			counts := tc.base.Counts()
+			var keys []string
+			want, admits := 0, 0
+			seen := map[BurstCandidate]bool{}
+			for k, out := range dst {
+				keys = append(keys, excr.MatrixFromCounts(space, counts).Key())
+				if !seen[cands[k]] {
+					seen[cands[k]] = true
+					want++
+				}
+				if out.Verdict == Admit {
+					admits++
+					counts[space.CellIndex(cands[k].Class, cands[k].Level)]++
+					seen = map[BurstCandidate]bool{}
+				}
+			}
+			if tc.name == "overloaded" && (admits != 0 || want != space.Dim()) {
+				t.Fatalf("overloaded burst: %d admits, %d distinct tuples; want 0 and %d", admits, want, space.Dim())
+			}
+			if tc.name == "empty" && (admits == 0 || admits == len(cands)) {
+				t.Fatalf("empty-cell burst admitted %d of %d: want both verdicts", admits, len(cands))
+			}
+			if got := rows.Load(); got != int64(want) {
+				t.Fatalf("burst of %d scored %d rows, want %d (one per distinct tuple of each stretch)", len(cands), got, want)
+			}
+			if got := clfAdmits.Value() + clfRejects.Value() - decisions; got != int64(len(cands)) {
+				t.Fatalf("classifier counted %d decisions, want %d", got, len(cands))
+			}
+			if got := margins.Count() - marginN; got != int64(len(cands)) {
+				t.Fatalf("margin histogram took %d samples, want %d", got, len(cands))
+			}
+			recs := reg.Ring().Snapshot()
+			recs = recs[len(recs)-len(cands):]
+			for k, r := range recs {
+				if r.Matrix != keys[k] || r.Class != int(cands[k].Class) || r.Level != int(cands[k].Level) ||
+					r.Margin != dst[k].Decision.Margin || r.Verdict != dst[k].Verdict.String() {
+					t.Fatalf("audit record %d: %+v, want matrix %s for outcome %+v", k, r, keys[k], dst[k])
+				}
+			}
+		})
+	}
 }

@@ -577,11 +577,13 @@ func (mb *Middlebox) verdict(d classifier.Decision) Verdict {
 // per-decision telemetry: the cell's verdict counter, the audit-ring
 // record, and — when a flight recorder is wired — the journal record
 // carrying the audit ring's sequence, so exlog can replay verdicts
-// bit-for-bit against the audit trail. endOff is the monotonic offset
+// bit-for-bit against the audit trail. key is a.Matrix.Key() for the
+// audit record, which callers build only when instrumented and share
+// across outcomes decided on one matrix. endOff is the monotonic offset
 // from epoch for the timestamp. On an uninstrumented middlebox only the
 // journal enqueue remains (the recorder stamps the record itself),
 // which keeps that configuration allocation-free.
-func (mb *Middlebox) recordOutcome(cell *Cell, a excr.Arrival, out Outcome, endOff time.Duration) {
+func (mb *Middlebox) recordOutcome(cell *Cell, a excr.Arrival, key string, out Outcome, endOff time.Duration) {
 	if mb.obs == nil {
 		if mb.flight != nil {
 			mb.recordFlight(cell, a, out, 0, 0)
@@ -602,7 +604,7 @@ func (mb *Middlebox) recordOutcome(cell *Cell, a excr.Arrival, out Outcome, endO
 		Cell:      string(out.Cell),
 		Class:     int(a.Class),
 		Level:     int(a.Level),
-		Matrix:    a.Matrix.Key(),
+		Matrix:    key,
 		Margin:    out.Decision.Margin,
 		Depth:     out.Decision.Depth,
 		Verdict:   out.Verdict.String(),
@@ -711,7 +713,11 @@ func (mb *Middlebox) SelectNetwork(cands []Candidate, s *classifier.Scratch, ft 
 		}
 		for k, d := range decisions {
 			out := Outcome{Cell: sorted[i].Cell, Decision: d, Verdict: mb.verdict(d)}
-			mb.recordOutcome(cell, arrivals[k], out, endOff)
+			var key string
+			if mb.obs != nil {
+				key = arrivals[k].Matrix.Key()
+			}
+			mb.recordOutcome(cell, arrivals[k], key, out, endOff)
 			admits := out.Verdict == Admit
 			switch {
 			case admits && (!bestOK || out.Decision.Depth > best.Decision.Depth):

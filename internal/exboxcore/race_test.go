@@ -3,6 +3,7 @@ package exboxcore
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"exbox/internal/classifier"
 	"exbox/internal/excr"
@@ -110,4 +111,83 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	async.Close()
 	async.Close()
+}
+
+// TestAdmitBurstOneModelPerBurst runs bursts while a DeferRetrain
+// cell's background worker publishes refits, and requires every
+// burst's decisions to carry one model version: a refit landing
+// mid-burst must not move the boundary under the burst's later
+// candidates. Run under -race.
+func TestAdmitBurstOneModelPerBurst(t *testing.T) {
+	space := excr.MixedSNRSpace
+	mb := New(space, Discontinue)
+	cfg := classifier.DefaultConfig()
+	cfg.DeferRetrain = true
+	cfg.BatchSize = 5
+	cfg.MaxTrainingSet = 100 // keep refits short so many land during the bursts
+	if _, err := mb.AddCell("ap", cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer mb.Close()
+	samples := testbedSamples(1, 2000)
+	clf := mb.Cell("ap").Classifier
+	for _, s := range samples[:100] {
+		if err := mb.Observe("ap", s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := clf.ForceOnline(); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := mb.Observe("ap", samples[i%len(samples)]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	// Burst until the worker has published enough refits (or a deadline
+	// passes, so a slow host still finishes).
+	const wantFits = 40
+	first := clf.ModelVersion()
+	cands := cycleCands(space, 32)
+	bases := []excr.Matrix{excr.NewMatrix(space), overloadedBase}
+	var bs BurstScratch
+	var dst []Outcome
+	bursts := 0
+	deadline := time.Now().Add(10 * time.Second)
+	for clf.ModelVersion()-first < wantFits && time.Now().Before(deadline) {
+		var err error
+		if dst, err = mb.AdmitBurst("ap", bases[bursts%len(bases)], cands, dst, &bs); err != nil {
+			t.Fatal(err)
+		}
+		for k, out := range dst {
+			if out.Decision.Model != dst[0].Decision.Model {
+				t.Fatalf("burst %d: candidate 0 decided by model v%d, candidate %d by v%d",
+					bursts, dst[0].Decision.Model, k, out.Decision.Model)
+			}
+		}
+		bursts++
+	}
+	fits := clf.ModelVersion() - first
+	if fits == 0 {
+		t.Fatalf("no refit published during %d bursts", bursts)
+	}
+	t.Logf("%d bursts across %d refits", bursts, fits)
 }

@@ -76,7 +76,7 @@ func BenchmarkRetrainWarm1k(b *testing.B) { benchRetrain(b, 1000, 20, true) }
 // workflow pays. The RBF model is trained on heavily overlapping
 // clouds so it retains well over 200 support vectors — the regime
 // where the contiguous slab beats pointer-chased rows (the scalar
-// path's before/after on one machine is frozen in BENCH_pr4.json).
+// path's before/after on one machine is recorded in CHANGES.md).
 
 func benchDecisionModel(b *testing.B, kernel KernelKind) (*Model, []float64) {
 	b.Helper()
